@@ -77,10 +77,21 @@ def parse_word(text: str):
     return words.parse(normalize_word_text(text))
 
 
+def _check_at_least(value: int, least: int, flag: str) -> None:
+    if value < least:
+        raise CliError(f"{flag} must be >= {least}, got {value}")
+
+
+def _check_stabilization_args(args) -> None:
+    _check_at_least(args.window, 1, "--window")
+    _check_at_least(args.nmax, 1, "--nmax")
+
+
 # ------------------------------------------------------------------- qm
 
 
 def _cmd_qm(args) -> int:
+    _check_stabilization_args(args)
     w = parse_word(args.word)
     if not w:
         raise CliError("--word must be a nonempty reduced word")
@@ -114,6 +125,7 @@ def _cmd_qm(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_stabilization_args(args)
     if args.list:
         for ident, suite, law in registry_rows():
             print(f"{ident:26} {suite:9} {law}")
@@ -147,7 +159,10 @@ def _load_complex(args):
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as ex:
         raise CliError(f"{args.source} is not valid JSON: {ex}") from ex
-    cx, filt = complex_from_json(doc)
+    try:
+        cx, filt = complex_from_json(doc)
+    except (ValueError, KeyError, TypeError, IndexError) as ex:
+        raise CliError(f"{args.source} is not a complex document: {ex}") from ex
     if filt is None:
         filt = Filtration.trivial(cx)
     return cx, filt
@@ -177,6 +192,7 @@ def _print_ss(report: dict):
 
 
 def _cmd_ss(args) -> int:
+    _check_at_least(args.max_r, 0, "--max-r")
     cx, filt = _load_complex(args)
     report = sequence_report(cx, filt, window=args.window, max_r=args.max_r)
     _print_ss(report)

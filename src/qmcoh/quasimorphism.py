@@ -8,24 +8,42 @@ consecutive increments agrees, that common increment is the exact limit
 of phi(g^n)/n. Nothing here is floating point and nothing is truncated.
 
 Counting is done on the one-character-per-letter string encoding (see
-``words.chars``), so occurrence counts on long periodic powers reduce to
-substring scans.
+``words.chars``), so an occurrence count is a substring scan. Brooks
+counts on powers u . c^k . u^-1 are affine in k once c^k is longer than
+the counted word, so ``BrooksQuasimorphism.eval_power`` scans two short
+strings per base and extrapolates exactly; it never materializes c^k
+for large k.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 
 from . import words
 from .errors import NoStabilization, NotACocycle
 from .words import Pow, Word
 
 
+@lru_cache(maxsize=1024)
+def _has_border(s: str) -> bool:
+    """True if some nonempty proper prefix of s is also a suffix."""
+    return any(s[:i] == s[-i:] for i in range(1, len(s)))
+
+
 def count_occurrences(needle: str, hay: str) -> int:
-    """Occurrences of needle in hay, overlapping ones included."""
+    """Occurrences of needle in hay, overlapping ones included.
+
+    Two occurrences at distance d < len(needle) make the needle's
+    prefix of length len(needle) - d a suffix too. A needle without
+    such a border therefore never overlaps itself, and the
+    non-overlapping ``str.count`` is exact for it.
+    """
     if not needle:
         raise ValueError("empty needle")
+    if not _has_border(needle):
+        return hay.count(needle)
     n = 0
     i = hay.find(needle)
     while i != -1:
@@ -94,7 +112,65 @@ class BrooksQuasimorphism(Quasimorphism):
     def __call__(self, g):
         return self.eval_string(words.chars(g))
 
+    def _power_line(self, base: Word) -> tuple:
+        """(k0, phi(base^k0), slope, core, conj, conj^-1) for base, the
+        last three as character strings; see ``eval_power``."""
+        line = self._cyclic.get(base)
+        if line is None:
+            core, conj = words.cyclic_reduce(base)
+            cc = words.chars(core)
+            uc = words.chars(conj)
+            ui = _inv_chars(uc)
+            if not cc:  # the identity: phi = 0 on every power
+                line = (1, 0, 0, cc, uc, ui)
+            else:
+                span = len(self._w) - 1
+                k0 = max(1, -(-span // len(cc)))
+                f0 = self.eval_string(uc + cc * k0 + ui)
+                slope = self.eval_string((cc * (k0 + 1))[:len(cc) + span])
+                line = (k0, f0, slope, cc, uc, ui)
+            self._cyclic[base] = line
+        return line
+
     def eval_power(self, g: Word, n: int) -> int:
+        """phi(g^n), exactly, without building g^n for large n.
+
+        Write the base (g, or g^-1 when n < 0) as u . c . u^-1 with c
+        cyclically reduced, and let k = |n|. Then base^k is the reduced
+        word u . c^k . u^-1, whose string is U + C*k + U' for the
+        character strings U, C, U' of u, c, u^-1. Let L = |w| (w and
+        w^-1 have the same length) and p = |c|.
+
+        Claim: f(k) = phi(u . c^k . u^-1) is affine in k for k >= k0,
+        where k0 = max(1, ceil((L - 1) / p)).
+
+        Proof. Take k with k p >= L - 1 and split the length-L windows
+        of U + C*k + U' that spell w or w^-1 into three kinds:
+
+        * windows that meet U. They start before |U| and so end before
+          |U| + L - 1 <= |U| + k p, the start of U'. They lie in U
+          followed by the first L - 1 letters of C*k, and those letters
+          are the same for every such k. So their count does not
+          depend on k.
+        * windows that meet U' but not U. By the mirror argument their
+          count does not depend on k either.
+        * windows inside C*k, at offsets 0 .. k p - L. A window at
+          offset j spells the same letters as one at j + p, by
+          periodicity. Passing from k to k + 1 adds the offsets
+          k p - L + 1 .. (k + 1) p - L. These are p consecutive offsets,
+          all >= 0 because k p >= L - 1, so they cover each residue
+          mod p once. The count therefore grows by the same amount s
+          at every step: the count over the windows at offsets
+          0 .. p - 1 of the periodic word C C C ..., which are exactly
+          the windows of its prefix of length p + L - 1.
+
+        Hence f(k) = f(k0) + (k - k0) s for all k >= k0, where s is the
+        value on that prefix. Below k0, k p < L - 1, so the string is
+        shorter than 2|u| + L and is scanned directly. The identity
+        (empty c) gives 0. Per base the cost is one scan of length
+        2|u| + k0 p < 2|u| + L + p and one of length p + L - 1, whatever
+        k is.
+        """
         key = (g, n)
         hit = self._power_cache.get(key)
         if hit is not None:
@@ -104,13 +180,11 @@ class BrooksQuasimorphism(Quasimorphism):
         else:
             # g^-k is counted honestly as (g^-1)^k; no homogeneity assumed.
             base, k = (g, n) if n > 0 else (words.inv(g), -n)
-            cached = self._cyclic.get(base)
-            if cached is None:
-                cached = self._cyclic[base] = words.cyclic_reduce(base)
-            core, conj = cached
-            cc = words.chars(core)
-            uc = words.chars(conj)
-            val = self.eval_string(uc + cc * k + _inv_chars(uc))
+            k0, f0, slope, cc, uc, ui = self._power_line(base)
+            if k >= k0:
+                val = f0 + (k - k0) * slope
+            else:
+                val = self.eval_string(uc + cc * k + ui)
         self._power_cache[key] = val
         return val
 
@@ -226,8 +300,13 @@ def homogenize(phi: Quasimorphism, g: Word, window: int = DEFAULT_WINDOW,
 
     Raises NoStabilization(n_max) if no window stabilizes; if
     phi.defect_bound is set, returns a CertifiedInterval of width
-    2*defect_bound around phi(g^n_max)/n_max instead.
+    2*defect_bound around phi(g^n_max)/n_max instead. Raises ValueError
+    if window or n_max is below 1.
     """
+    if window < 1 or n_max < 1:
+        raise ValueError(
+            f"window and n_max must be >= 1, got {window} and {n_max}"
+        )
     if phi.homogeneous:
         return phi(g)
     key = (g, window, n_max)

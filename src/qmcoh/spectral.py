@@ -765,7 +765,17 @@ def complex_to_json(cx: FiniteComplex, filt: Filtration | None = None) -> dict:
 
 
 def complex_from_json(doc: dict):
-    field = FIELDS[doc["field"]]
+    if not isinstance(doc, dict):
+        raise ValueError("the document must be a JSON object")
+    missing = [k for k in ("field", "dims", "differentials") if k not in doc]
+    if missing:
+        raise ValueError(f"missing key(s) {', '.join(missing)}")
+    field = FIELDS.get(doc["field"])
+    if field is None:
+        raise ValueError(
+            f"unknown field {doc['field']!r}; expected one of"
+            f" {', '.join(FIELDS)}"
+        )
     dims = list(doc["dims"])
     all_ops = [vector_ops(field, d) for d in dims]
     diffs = [

@@ -170,26 +170,24 @@ def conjugate(w: Word, by: Word) -> Word:
 
 
 def power(w: Word, n: int) -> Word:
-    """w^n by repeated squaring, reducing after each product.
+    """w^n as an explicit reduced word.
 
-    Exponents beyond +-POWER_CAP are refused: the result could not be
-    stored as a plain tuple anyway.
+    With w = u . c . u^-1 from ``cyclic_reduce``, w^n is u . c^n . u^-1
+    and needs no cancellation, since c is cyclically reduced; negative
+    n use c^-1. So the result is one tuple concatenation, not a chain
+    of reducing products. Exponents beyond +-POWER_CAP are refused: the
+    result could not be stored as a plain tuple anyway.
     """
     if abs(n) > POWER_CAP:
         raise ResourceCapExceeded(
             f"exponent {n} exceeds cap {POWER_CAP} for explicit words"
         )
+    core, conj = cyclic_reduce(w)
     if n < 0:
-        w, n = inv(w), -n
-    acc: Word = ()
-    base = tuple(w)
-    while n:
-        if n & 1:
-            acc = mul(acc, base)
-        n >>= 1
-        if n:
-            base = mul(base, base)
-    return acc
+        core, n = inv(core), -n
+    if n == 0:
+        return ()
+    return conj + core * n + inv(conj)
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
@@ -244,15 +242,20 @@ def fmt(w: Word) -> str:
     return "".join(parts)
 
 
+_CHAR_OF = {
+    sign * k: chr((ord("a") if sign > 0 else ord("A")) + k - 1)
+    for k in range(1, _MAX_CHAR_RANK + 1) for sign in (1, -1)
+}
+
+
 def chars(w: Word) -> str:
     """One-character-per-letter encoding (uppercase = inverse)."""
-    parts = []
-    for k in w:
-        if abs(k) > _MAX_CHAR_RANK:
-            raise ValueError(f"generator {abs(k)} has no letter name")
-        base = ord("a") if k > 0 else ord("A")
-        parts.append(chr(base + abs(k) - 1))
-    return "".join(parts)
+    try:
+        return "".join(map(_CHAR_OF.__getitem__, w))
+    except KeyError as ex:
+        raise ValueError(
+            f"generator {abs(ex.args[0])} has no letter name"
+        ) from None
 
 
 def random_reduced(rng: random.Random, rank: int, length: int) -> Word:

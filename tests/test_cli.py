@@ -61,7 +61,21 @@ def test_qm_missing_argument_is_a_usage_error(capsys):
     assert rc == 2 and "--pair" in err
 
 
+@pytest.mark.parametrize("flag", ["--window", "--nmax"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_qm_rejects_nonpositive_stabilization_args(capsys, flag, value):
+    rc, out, err = run(capsys, "qm", "homogenize", "--word", "ab",
+                       "--on", "ab", flag, value)
+    assert rc == 2 and out == "" and f"{flag} must be >= 1" in err
+
+
 # ---------------------------------------------------------------- verify
+
+
+@pytest.mark.parametrize("flag", ["--window", "--nmax"])
+def test_verify_rejects_nonpositive_stabilization_args(capsys, flag):
+    rc, out, err = run(capsys, "verify", "--suite", "qm", flag, "0")
+    assert rc == 2 and out == "" and f"{flag} must be >= 1" in err
 
 
 def test_verify_reports_are_deterministic(capsys):
@@ -135,3 +149,22 @@ def test_ss_respects_the_memory_budget(monkeypatch, capsys):
     monkeypatch.setenv("QMCOH_BUDGET_MB", "0")
     rc, _, err = run(capsys, "ss", "z4-hs")
     assert rc == 2 and "QMCOH_BUDGET_MB" in err
+
+
+def test_ss_rejects_negative_max_r(capsys):
+    rc, out, err = run(capsys, "ss", "z4-hs", "--max-r", "-1")
+    assert rc == 2 and out == "" and "--max-r must be >= 0" in err
+
+
+@pytest.mark.parametrize("doc, why", [
+    ({}, "missing key"),
+    ({"field": "F4", "dims": [1], "differentials": []}, "unknown field 'F4'"),
+    ([1, 2], "JSON object"),
+    ({"field": ["F2"], "dims": [1], "differentials": []}, "unhashable"),
+])
+def test_ss_malformed_json_is_a_usage_error(tmp_path, capsys, doc, why):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "ss", str(path))
+    assert rc == 2 and out == ""
+    assert "is not a complex document" in err and why in err

@@ -51,17 +51,54 @@ def test_brooks_evaluation():
     assert phi(p("aba'b'")) == 1  # one ab, no b'a'
 
 
-small_words = st.lists(
-    st.integers(min_value=-2, max_value=2).filter(lambda k: k != 0),
-    max_size=10,
-).map(words.reduce)
+letters2 = st.integers(min_value=-2, max_value=2).filter(lambda k: k != 0)
+small_words = st.lists(letters2, max_size=10).map(words.reduce)
+# short cores with conjugators, so the Brooks word is often longer than
+# the core and the base is often not cyclically reduced
+conjugated_words = st.builds(
+    lambda u, c: words.mul(u, c, words.inv(u)),
+    st.lists(letters2, max_size=4).map(words.reduce),
+    st.lists(letters2, max_size=3).map(words.reduce),
+)
+brooks_words = (
+    st.sampled_from(["aba", "aaaa", "abab", "a'a'a'", "abba'", "ab"]).map(p)
+    | st.lists(letters2, min_size=1, max_size=8).map(words.reduce).filter(bool)
+)
 
 
-@given(small_words, st.integers(min_value=-5, max_value=5))
-@settings(max_examples=60)
-def test_eval_power_matches_direct(g, n):
+# small_words keeps cyclic cores of up to 10 letters, often longer than
+# the Brooks word, so k0 = 1 and the slope window is mostly core
+@given(brooks_words, conjugated_words | small_words | st.just(()),
+       st.integers(min_value=-40, max_value=40))
+@settings(max_examples=300)
+def test_eval_power_matches_direct(w, g, n):
+    phi = BrooksQuasimorphism(w)
+    # n + 1 is served by the line cached for the same base
+    for m in (n, n + 1):
+        step = g if m >= 0 else words.inv(g)
+        assert phi.eval_power(g, m) == phi(words.mul(*[step] * abs(m)))
+
+
+needles = (
+    st.sampled_from(["aba", "aa", "abab", "aab", "ab", "abA"])
+    | st.text(alphabet="abA", min_size=1, max_size=5)
+)
+
+
+@given(needles, st.data())
+def test_count_occurrences_matches_naive_overlapping_count(needle, data):
+    pieces = st.sampled_from(["a", "b", "A", needle, needle[:-1]])
+    hay = "".join(data.draw(st.lists(pieces, max_size=12)))
+    naive = sum(hay.startswith(needle, i) for i in range(len(hay)))
+    assert count_occurrences(needle, hay) == naive
+
+
+def test_homogenize_rejects_empty_windows():
     phi = BrooksQuasimorphism(p("ab"))
-    assert phi.eval_power(g, n) == phi(words.power(g, n))
+    with pytest.raises(ValueError, match="window"):
+        homogenize(phi, p("ab"), window=0)
+    with pytest.raises(ValueError, match="n_max"):
+        homogenize(phi, p("ab"), n_max=0)
 
 
 def test_homogenize_oracles():

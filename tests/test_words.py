@@ -54,6 +54,7 @@ def test_fmt_apostrophe_form():
 def test_chars_encoding():
     assert chars(parse("aba'b'")) == "abAB"
     assert chars(()) == ""
+    assert chars((26, -26, 1)) == "zZa"
 
 
 def test_reduce_examples():
@@ -120,13 +121,26 @@ def test_mul_associative(u, v, w):
     assert mul(mul(u, v), w) == mul(u, mul(v, w))
 
 
-@given(reduced_words, st.integers(min_value=-6, max_value=6))
-def test_power_matches_iterated_mul(w, n):
-    expect = ()
-    step = w if n >= 0 else inv(w)
-    for _ in range(abs(n)):
-        expect = mul(expect, step)
-    assert power(w, n) == expect
+@given(raw_words, st.sampled_from([0, 1, -1]) | st.integers(-30, 30))
+def test_power_matches_iterated_mul(ls, n):
+    # unreduced input too: power reduces it first
+    step = reduce(ls) if n >= 0 else inv(reduce(ls))
+    got = power(tuple(ls), n)
+    assert got == mul(*[step] * abs(n))
+    assert is_reduced(got)
+
+
+@given(reduced_words, st.integers(words.POWER_CAP + 1, 4 * words.POWER_CAP),
+       st.sampled_from([1, -1]))
+def test_power_refuses_exponents_beyond_the_cap(w, n, sign):
+    with pytest.raises(ResourceCapExceeded):
+        power(w, sign * n)
+
+
+@given(reduced_words, st.integers(27, 500), st.sampled_from([1, -1]))
+def test_chars_refuses_generators_beyond_rank_26(w, k, sign):
+    with pytest.raises(ValueError, match=f"generator {k} "):
+        chars(w + (sign * k,))
 
 
 @given(reduced_words)
