@@ -59,58 +59,32 @@ class CliError(Exception):
     pass
 
 
-def normalize_word_text(text: str) -> str:
-    """Rewrite capital-letter inverses to apostrophe form."""
-    out = []
-    for ch in text:
-        if ch.isspace():
-            continue
-        if ch.isalpha() and ch.isupper():
-            out.append(ch.lower())
-            out.append("'")
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
-def parse_word(text: str):
-    return words.parse(normalize_word_text(text))
-
-
 def _check_at_least(value: int, least: int, flag: str) -> None:
     if value < least:
         raise CliError(f"{flag} must be >= {least}, got {value}")
-
-
-def _check_stabilization_args(args) -> None:
-    _check_at_least(args.window, 1, "--window")
-    _check_at_least(args.nmax, 1, "--nmax")
 
 
 # ------------------------------------------------------------------- qm
 
 
 def _cmd_qm(args) -> int:
-    _check_stabilization_args(args)
-    w = parse_word(args.word)
+    w = words.parse(args.word)
     if not w:
         raise CliError("--word must be a nonempty reduced word")
     phi = BrooksQuasimorphism(w)
     if args.action == "eval":
         if args.on is None:
             raise CliError("eval needs --on WORD")
-        print(Fraction(phi(parse_word(args.on))))
+        print(Fraction(phi(words.parse(args.on))))
     elif args.action == "homogenize":
         if args.on is None:
             raise CliError("homogenize needs --on WORD")
-        print(Fraction(
-            homogenize(phi, parse_word(args.on), args.window, args.nmax)
-        ))
+        print(Fraction(homogenize(phi, words.parse(args.on))))
     elif args.action == "cocycle":
         if args.pair is None:
             raise CliError("cocycle needs --pair G H")
-        c = homogeneous_cocycle(phi, args.window, args.nmax)
-        g, h = (parse_word(t) for t in args.pair)
+        c = homogeneous_cocycle(phi)
+        g, h = (words.parse(t) for t in args.pair)
         print(Fraction(c(g, h)))
     else:  # defect-estimate
         rank = max(2, words.max_generator(w))
@@ -125,7 +99,8 @@ def _cmd_qm(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _check_stabilization_args(args)
+    _check_at_least(args.window, 1, "--window")
+    _check_at_least(args.nmax, 1, "--nmax")
     if args.list:
         for ident, suite, law in registry_rows():
             print(f"{ident:26} {suite:9} {law}")
@@ -223,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="pattern word, e.g. ab, aba' or abAB")
     qm.add_argument("--on", help="argument word; '' is the identity")
     qm.add_argument("--pair", nargs=2, metavar=("G", "H"))
-    qm.add_argument("--window", type=int, default=DEFAULT_WINDOW)
-    qm.add_argument("--nmax", type=int, default=DEFAULT_NMAX)
     qm.add_argument("--samples", type=int, default=200)
     qm.add_argument("--seed", type=int, default=0)
     qm.add_argument("--size", type=int, default=12,
@@ -238,8 +211,11 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     ver.add_argument("--cutoff-n", type=int, default=DEFAULT_CUTOFF,
                      help="power-series truncation depth")
-    ver.add_argument("--window", type=int, default=DEFAULT_WINDOW)
-    ver.add_argument("--nmax", type=int, default=DEFAULT_NMAX)
+    ver.add_argument("--window", type=int, default=DEFAULT_WINDOW,
+                     help="run of equal drift values that settles psi and"
+                          " the model shift")
+    ver.add_argument("--nmax", type=int, default=DEFAULT_NMAX,
+                     help="largest power tried for that run")
     ver.add_argument("--out", help="also write the JSON report here")
     ver.add_argument("--timings", action="store_true",
                      help="include wall times (breaks byte-for-byte diffs)")

@@ -28,11 +28,7 @@ from typing import NamedTuple
 from . import words
 from .chains import Chain, m2_chain, pushforward
 from .cochains import BoundedCochain, CoefficientModule
-from .errors import (
-    CentralityViolation,
-    KernelRelationViolation,
-    NoStabilization,
-)
+from .errors import CentralityViolation, KernelRelationViolation
 from .groups import (
     Automorphism,
     Group,
@@ -41,7 +37,7 @@ from .groups import (
     compose,
     inner_automorphism,
 )
-from .quasimorphism import DEFAULT_WINDOW
+from .quasimorphism import DEFAULT_NMAX, DEFAULT_WINDOW, stable_drift
 
 DEFAULT_CUTOFF = 8
 
@@ -263,7 +259,7 @@ class CentralExtensionModel(Group):
     """
 
     def __init__(self, group: Group, cocycle, window: int = DEFAULT_WINDOW,
-                 n_max: int = 64):
+                 n_max: int = DEFAULT_NMAX):
         self.group = group
         self.cocycle = cocycle
         self.window = window
@@ -303,26 +299,15 @@ class CentralExtensionModel(Group):
 
     def shift(self, g) -> Fraction:
         """Homogenization drift of the scalar coordinate over powers of
-        g: the stabilized value of c(g^n, g). Raises NoStabilization if
-        the increments never settle."""
-        if g == self.group.identity:
-            return Fraction(0)
+        g: ``stable_drift`` of the cocycle at g, exact under the
+        condition stated there. Raises NoStabilization if the values
+        never settle."""
         hit = self._shift.get(g)
-        if hit is not None:
-            return hit
-        run_val, run_len = None, 0
-        gn = g
-        for n in range(1, self.n_max + 1):
-            inc = Fraction(self.cocycle(gn, g))
-            if inc == run_val:
-                run_len += 1
-            else:
-                run_val, run_len = inc, 1
-            if run_len >= self.window:
-                self._shift[g] = run_val
-                return run_val
-            gn = self.group.mul(gn, g)
-        raise NoStabilization(self.n_max, "scalar drift increments")
+        if hit is None:
+            hit = Fraction(stable_drift(self.cocycle, self.group, g,
+                                        self.window, self.n_max))
+            self._shift[g] = hit
+        return hit
 
     def phi(self, elt) -> Fraction:
         """Homogenized scalar quasimorphism."""

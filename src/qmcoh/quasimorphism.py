@@ -2,10 +2,13 @@
 associated degree-2 cocycles.
 
 All values are exact rationals (ints where possible). Homogenization
-uses the stabilization of power increments: for counting functions the
-sequence n -> phi(g^n) is eventually linear in n, so once a window of
-consecutive increments agrees, that common increment is the exact limit
-of phi(g^n)/n. Nothing here is floating point and nothing is truncated.
+is in closed form: a Brooks count on powers of g is affine in the
+exponent from k0(g) on (see ``BrooksQuasimorphism.eval_power``), and
+its slope, the per-period count on the periodic word core(g)^Z, is the
+exact limit of phi(g^n)/n. Nothing here is floating point and nothing
+is truncated. The one place that still reads a limit off a run of equal
+values is ``stable_drift``, for cocycles known only by their values; its
+docstring states when that rule is exact.
 
 Counting is done on the one-character-per-letter string encoding (see
 ``words.chars``), so an occurrence count is a substring scan. Brooks
@@ -17,7 +20,6 @@ for large k.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 
@@ -64,29 +66,15 @@ def _inv_chars(s: str) -> str:
 
 
 class Quasimorphism:
-    """Evaluator with an optional defect bound and a homogeneity flag.
-
-    ``defect_bound`` is advisory (used as a fallback interval width when
-    homogenization fails to stabilize); ``homogeneous`` marks maps that
-    already satisfy phi(g^n) = n phi(g).
+    """Base of the evaluators: ``phi(g)`` is the value at g and
+    ``phi.eval_power(g, n)`` the value at g^n. ``homogeneous`` marks
+    maps that already satisfy phi(g^n) = n phi(g).
     """
 
     homogeneous = False
 
-    def __init__(self, func, name: str = "phi", defect_bound=None,
-                 homogeneous: bool = False):
-        self._func = func
+    def __init__(self, name: str):
         self.name = name
-        self.defect_bound = defect_bound
-        self.homogeneous = homogeneous
-        self._homog_cache: dict = {}
-
-    def __call__(self, g):
-        return self._func(g)
-
-    def eval_power(self, g: Word, n: int):
-        """phi(g^n); subclasses exploit periodicity."""
-        return self(words.power(g, n))
 
     def __repr__(self):
         return self.name
@@ -99,7 +87,7 @@ class BrooksQuasimorphism(Quasimorphism):
     def __init__(self, w: Word, name: str | None = None):
         if w == ():
             raise ValueError("Brooks word must be nonempty")
-        super().__init__(None, name=name or f"brooks({words.fmt(w)})")
+        super().__init__(name or f"brooks({words.fmt(w)})")
         self.word = tuple(w)
         self._w = words.chars(w)
         self._winv = _inv_chars(self._w)
@@ -192,9 +180,10 @@ class BrooksQuasimorphism(Quasimorphism):
 class HomomorphismQuasimorphism(Quasimorphism):
     """Exact homomorphism F_r -> Q given by generator weights."""
 
+    homogeneous = True
+
     def __init__(self, weights: dict[int, Fraction], name: str | None = None):
-        super().__init__(None, name=name or "hom", defect_bound=Fraction(0),
-                         homogeneous=True)
+        super().__init__(name or "hom")
         self.weights = {k: Fraction(v) for k, v in weights.items()}
 
     def __call__(self, g):
@@ -208,43 +197,21 @@ class HomomorphismQuasimorphism(Quasimorphism):
 
 
 class SumQuasimorphism(Quasimorphism):
-    """Pointwise sum of quasimorphisms; the defect bound adds."""
+    """Pointwise sum of quasimorphisms."""
 
     def __init__(self, parts, name: str | None = None):
         parts = tuple(parts)
         if not parts:
             raise ValueError("empty sum")
-        bounds = [p.defect_bound for p in parts]
-        total = sum(bounds) if all(b is not None for b in bounds) else None
-        super().__init__(None, name=name or "+".join(repr(p) for p in parts),
-                         defect_bound=total,
-                         homogeneous=all(p.homogeneous for p in parts))
+        super().__init__(name or "+".join(repr(p) for p in parts))
         self.parts = parts
+        self.homogeneous = all(p.homogeneous for p in parts)
 
     def __call__(self, g):
         return sum(p(g) for p in self.parts)
 
     def eval_power(self, g, n):
         return sum(p.eval_power(g, n) for p in self.parts)
-
-
-def qm_from_json(data) -> Quasimorphism:
-    """Load {"type": "brooks", "word": ...} or
-    {"type": "homomorphism", "weights": {letter: "p/q"}}."""
-    if isinstance(data, (str, bytes)):
-        data = json.loads(data)
-    kind = data.get("type")
-    if kind == "brooks":
-        return BrooksQuasimorphism(words.parse(data["word"]))
-    if kind == "homomorphism":
-        weights = {}
-        for letter, val in data["weights"].items():
-            gen = words.parse(letter)
-            if len(gen) != 1 or gen[0] < 0:
-                raise ValueError(f"bad generator key {letter!r}")
-            weights[gen[0]] = Fraction(val)
-        return HomomorphismQuasimorphism(weights)
-    raise ValueError(f"unknown quasimorphism type {kind!r}")
 
 
 def defect_estimate(phi, group, samples: int = 200, seed: int = 0,
@@ -267,93 +234,82 @@ def defect_estimate(phi, group, samples: int = 200, seed: int = 0,
     return best
 
 
-class CertifiedInterval(tuple):
-    """(lo, hi) bracket returned when stabilization fails but a defect
-    bound certifies the limit's location."""
-
-    __slots__ = ()
-
-    def __new__(cls, lo, hi):
-        return super().__new__(cls, (Fraction(lo), Fraction(hi)))
-
-    @property
-    def lo(self):
-        return self[0]
-
-    @property
-    def hi(self):
-        return self[1]
-
-
 DEFAULT_WINDOW = 4
 DEFAULT_NMAX = 64
 
 
-def homogenize(phi: Quasimorphism, g: Word, window: int = DEFAULT_WINDOW,
-               n_max: int = DEFAULT_NMAX):
-    """Exact value of the homogenization of phi at g.
+def homogenize(phi: Quasimorphism, g: Word):
+    """Exact value of the homogenization lim phi(g^n)/n of phi at g.
 
-    Computes increments phi(g^(n+1)) - phi(g^n) until ``window``
-    consecutive ones agree; that common value is returned. For counting
-    quasimorphisms the increment sequence is eventually constant, so
-    this is the exact limit of phi(g^n)/n.
+    A homogeneous phi is its own homogenization. For a Brooks count the
+    value is the slope of its power line (see ``eval_power``): the
+    occurrences of w, minus those of w^-1, per period of the periodic
+    word core(g)^Z (Brooks 1981; Calegari, *scl*, section 2.3.2). A sum
+    homogenizes part by part.
+    """
+    if phi.homogeneous:
+        return phi(g)
+    if isinstance(phi, BrooksQuasimorphism):
+        _k0, _f0, slope, *_ = phi._power_line(g)
+        return slope
+    if isinstance(phi, SumQuasimorphism):
+        return sum(homogenize(part, g) for part in phi.parts)
+    raise TypeError(f"no closed-form homogenization for {phi!r}")
 
-    Raises NoStabilization(n_max) if no window stabilizes; if
-    phi.defect_bound is set, returns a CertifiedInterval of width
-    2*defect_bound around phi(g^n_max)/n_max instead. Raises ValueError
-    if window or n_max is below 1.
+
+def stable_drift(c, group, g, window: int = DEFAULT_WINDOW,
+                 n_max: int = DEFAULT_NMAX):
+    """The eventual value of c(g^n, g) as n grows, read off as the first
+    value that ``window`` consecutive n in 1 .. n_max agree on.
+
+    For a cocycle c this is also the eventual value of c(g, g^n): on the
+    cyclic group generated by g, c is a coboundary d(f), which is
+    symmetric there. The rule is exact when c(g^n, g) is constant for
+    all n >= n0 with n0 <= window and n0 + window - 1 <= n_max: no run
+    of ``window`` equal values fits before n0, and one completes by
+    n0 + window - 1. For homogeneous c, n0 = 1. For c = d(phi_w) with a
+    Brooks count phi_w, n0 <= k0(g) = max(1, ceil((|w| - 1) / |core g|)),
+    since phi_w is affine on powers of g from k0(g) on. When k0(g) >
+    window a wrong value can be returned.
+
+    Returns 0 at the identity. Raises ValueError if window or n_max is
+    below 1, and NoStabilization if no run completes by n_max.
     """
     if window < 1 or n_max < 1:
         raise ValueError(
             f"window and n_max must be >= 1, got {window} and {n_max}"
         )
-    if phi.homogeneous:
-        return phi(g)
-    key = (g, window, n_max)
-    hit = phi._homog_cache.get(key)
-    if hit is not None:
-        return hit
-    if g == ():
-        phi._homog_cache[key] = 0
+    if g == group.identity:
         return 0
-    prev = phi.eval_power(g, 1)
-    run_val = None
-    run_len = 0
-    for n in range(1, n_max + 1):
-        cur = phi.eval_power(g, n + 1)
-        inc = cur - prev
-        prev = cur
-        if inc == run_val:
+    run_val, run_len = None, 0
+    gn = g
+    for _ in range(n_max):
+        val = c(gn, g)
+        if val == run_val:
             run_len += 1
         else:
-            run_val = inc
-            run_len = 1
+            run_val, run_len = val, 1
         if run_len >= window:
-            phi._homog_cache[key] = run_val
             return run_val
-    if phi.defect_bound is not None:
-        center = Fraction(phi.eval_power(g, n_max)) / n_max
-        d = Fraction(phi.defect_bound)
-        return CertifiedInterval(center - d, center + d)
-    raise NoStabilization(n_max, what=f"power increments of {phi!r}")
+        gn = group.mul(gn, g)
+    raise NoStabilization(n_max, what=f"drift values of {c!r}")
 
 
 class Homogenization(Quasimorphism):
     """The homogenization of another quasimorphism, as a callable."""
 
-    def __init__(self, phi: Quasimorphism, window: int = DEFAULT_WINDOW,
-                 n_max: int = DEFAULT_NMAX):
-        super().__init__(None, name=f"homog({phi!r})", homogeneous=True)
+    homogeneous = True
+
+    def __init__(self, phi: Quasimorphism):
+        super().__init__(f"homog({phi!r})")
         self.base = phi
-        self.window = window
-        self.n_max = n_max
         self._values = {}
 
     def __call__(self, g):
         try:
             return self._values[g]
         except KeyError:
-            val = homogenize(self.base, g, self.window, self.n_max)
+            val = homogenize(self.base, g)
             self._values[g] = val
             return val
 
@@ -366,12 +322,6 @@ def _entry_chain_value(phi: Quasimorphism, x):
     if isinstance(x, Pow):
         return phi.eval_power(x.base, x.exp)
     return phi(x)
-
-
-def _entry_mul(x, y):
-    """Product of two word-or-Pow entries, kept symbolic when the bases
-    agree up to inversion (see ``words.entry_mul``)."""
-    return words.entry_mul(x, y)
 
 
 def _same_power_base(x, y) -> bool:
@@ -403,42 +353,6 @@ class Cochain2:
         return self.name
 
 
-class HomogeneousCocycle(Cochain2):
-    """c(g,h) = phi(gh) - phi(g) - phi(h) for homogeneous phi.
-
-    Vanishes identically on pairs of powers of a common element; the
-    evaluator short-circuits that case so symbolic powers never expand.
-    """
-
-    homogeneous = True
-
-    def __init__(self, phi: Quasimorphism, name: str | None = None):
-        if not phi.homogeneous:
-            phi = Homogenization(phi)
-        self.phi = phi
-        self.name = name or f"defect({phi!r})"
-        self._cache: dict = {}
-
-    def evaluate(self, entry):
-        x, y = entry
-        # Same-base symbolic powers vanish by homogeneity; the shortcut
-        # is deliberately limited to them so that plain word pairs are
-        # always evaluated honestly.
-        if (isinstance(x, Pow) or isinstance(y, Pow)) and _same_power_base(x, y):
-            return 0
-        key = (x, y)
-        hit = self._cache.get(key)
-        if hit is None:
-            phi = self.phi
-            hit = (
-                _entry_chain_value(phi, _entry_mul(x, y))
-                - _entry_chain_value(phi, x)
-                - _entry_chain_value(phi, y)
-            )
-            self._cache[key] = hit
-        return hit
-
-
 class DefectCocycle(Cochain2):
     """c(g,h) = phi(gh) - phi(g) - phi(h) for a not necessarily
     homogeneous phi. Bounded by three times any bound on phi's defect;
@@ -459,7 +373,7 @@ class DefectCocycle(Cochain2):
         if hit is None:
             phi = self.phi
             hit = (
-                _entry_chain_value(phi, _entry_mul(x, y))
+                _entry_chain_value(phi, words.entry_mul(x, y))
                 - _entry_chain_value(phi, x)
                 - _entry_chain_value(phi, y)
             )
@@ -467,10 +381,33 @@ class DefectCocycle(Cochain2):
         return hit
 
 
-def homogeneous_cocycle(phi: Quasimorphism, window: int = DEFAULT_WINDOW,
-                        n_max: int = DEFAULT_NMAX) -> HomogeneousCocycle:
+class HomogeneousCocycle(DefectCocycle):
+    """c(g,h) = phi(gh) - phi(g) - phi(h) for homogeneous phi.
+
+    Vanishes identically on pairs of powers of a common element; the
+    evaluator short-circuits that case so symbolic powers never expand.
+    """
+
+    homogeneous = True
+
+    def __init__(self, phi: Quasimorphism, name: str | None = None):
+        if not phi.homogeneous:
+            phi = Homogenization(phi)
+        super().__init__(phi, name)
+
+    def evaluate(self, entry):
+        x, y = entry
+        # Same-base symbolic powers vanish by homogeneity; the shortcut
+        # is deliberately limited to them so that plain word pairs are
+        # always evaluated honestly.
+        if (isinstance(x, Pow) or isinstance(y, Pow)) and _same_power_base(x, y):
+            return 0
+        return super().evaluate(entry)
+
+
+def homogeneous_cocycle(phi: Quasimorphism) -> HomogeneousCocycle:
     """The coboundary-style cocycle of the homogenization of phi."""
-    return HomogeneousCocycle(Homogenization(phi, window, n_max))
+    return HomogeneousCocycle(Homogenization(phi))
 
 
 class PulledBackCocycle(Cochain2):
@@ -525,27 +462,11 @@ class CorrectedCocycle(Cochain2):
 
     def psi(self, g):
         hit = self._psi_cache.get(g)
-        if hit is not None:
-            return hit
-        grp = self.group
-        if g == grp.identity:
-            self._psi_cache[g] = 0
-            return 0
-        run_val = None
-        run_len = 0
-        gk = g
-        for _ in range(1, self.n_max + 1):
-            val = self.base(g, gk)
-            gk = grp.mul(gk, g)
-            if val == run_val:
-                run_len += 1
-            else:
-                run_val = val
-                run_len = 1
-            if run_len >= self.window:
-                self._psi_cache[g] = run_val
-                return run_val
-        raise NoStabilization(self.n_max, what=f"psi values of {self.base!r}")
+        if hit is None:
+            hit = stable_drift(self.base, self.group, g, self.window,
+                               self.n_max)
+            self._psi_cache[g] = hit
+        return hit
 
     def evaluate(self, entry):
         x, y = entry
@@ -564,8 +485,9 @@ def homogeneous_representative(c, group, sample_triples=(),
 
     Prechecks on the supplied samples: c must vanish against the
     identity (normalization precondition) and satisfy the cocycle law
-    (NotACocycle with a witness otherwise). The primitive psi(g) is the
-    stabilized value of c(g, g^k); NoStabilization propagates.
+    (NotACocycle with a witness otherwise). The primitive psi(g) is
+    ``stable_drift(c, group, g, window, n_max)``, exact under the
+    condition stated there; NoStabilization propagates.
     """
     e = group.identity
     for (g, h, k) in sample_triples:

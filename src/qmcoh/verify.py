@@ -136,8 +136,7 @@ class VerifyContext:
                 self._cocycle = swap_invariant_cocycle()
             elif isinstance(self.ext.g, FreeGroup):
                 self._cocycle = homogeneous_cocycle(
-                    BrooksQuasimorphism(words.parse("ab")),
-                    self.window, self.n_max,
+                    BrooksQuasimorphism(words.parse("ab"))
                 )
             else:
                 raise ValueError(
@@ -242,9 +241,7 @@ class _Tally:
 def _homogenize_conjugation(ctx, rng):
     t = _Tally()
     F2 = FreeGroup(2)
-    phi = Homogenization(
-        BrooksQuasimorphism(words.parse("ab")), ctx.window, ctx.n_max,
-    )
+    phi = Homogenization(BrooksQuasimorphism(words.parse("ab")))
     for _ in range(ctx.samples):
         g = F2.random_element(rng, 6)
         h = F2.random_element(rng, 4)
@@ -276,7 +273,7 @@ def _homogeneous_representative(ctx, rng):
         DefectCocycle(phi), F2, sample_triples=triples,
         window=ctx.window, n_max=ctx.n_max,
     )
-    direct = homogeneous_cocycle(phi, ctx.window, ctx.n_max)
+    direct = homogeneous_cocycle(phi)
     for _ in range(ctx.samples):
         g = F2.random_element(rng, 5)
         h = F2.random_element(rng, 5)
@@ -295,9 +292,7 @@ def _homogeneous_representative(ctx, rng):
 def _power_pair_vanishing(ctx, rng):
     t = _Tally()
     F2 = FreeGroup(2)
-    c = homogeneous_cocycle(
-        BrooksQuasimorphism(words.parse("ab")), ctx.window, ctx.n_max,
-    )
+    c = homogeneous_cocycle(BrooksQuasimorphism(words.parse("ab")))
     for _ in range(ctx.samples):
         g = F2.random_element(rng, 6)
         t.pairing(
@@ -314,7 +309,7 @@ def _duality_defect_bound(ctx, rng):
     t = _Tally()
     F2 = FreeGroup(2)
     phi = BrooksQuasimorphism(words.parse("ab"))
-    hom = Homogenization(phi, ctx.window, ctx.n_max)
+    hom = Homogenization(phi)
     # |d phi| <= 3 D(phi) and D <= 2 for a two-letter counting word; 6
     # is a safe certified sup bound for the tail estimate
     c_d = DefectCocycle(phi, norm_bound=Fraction(6))

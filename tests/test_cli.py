@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from qmcoh.cli import main, normalize_word_text, parse_word
+from qmcoh.cli import main
+from qmcoh.words import parse
 
 
 def run(capsys, *argv):
@@ -15,10 +16,14 @@ def run(capsys, *argv):
 
 
 def test_capital_letters_mean_inverses():
-    assert normalize_word_text("abAB") == "aba'b'"
-    assert parse_word("abAB") == parse_word("aba'b'")
-    assert parse_word("aA") == ()
-    assert parse_word(" a b ") == (1, 2)
+    assert parse("abAB") == parse("aba'b'")
+    assert parse("aA") == ()
+    assert parse(" a b ") == (1, 2)
+
+
+def test_bad_character_position_counts_capitals_as_one(capsys):
+    rc, out, err = run(capsys, "qm", "eval", "--word", "ab", "--on", "AB?")
+    assert rc == 2 and out == "" and "position 2" in err
 
 
 # -------------------------------------------------------------------- qm
@@ -61,12 +66,19 @@ def test_qm_missing_argument_is_a_usage_error(capsys):
     assert rc == 2 and "--pair" in err
 
 
-@pytest.mark.parametrize("flag", ["--window", "--nmax"])
-@pytest.mark.parametrize("value", ["0", "-1"])
-def test_qm_rejects_nonpositive_stabilization_args(capsys, flag, value):
-    rc, out, err = run(capsys, "qm", "homogenize", "--word", "ab",
-                       "--on", "ab", flag, value)
-    assert rc == 2 and out == "" and f"{flag} must be >= 1" in err
+B11 = "b'" * 11
+
+
+def test_qm_homogenize_long_word_on_a_short_core(capsys):
+    # the first ten power increments of b' are all 0; the slope is 1
+    rc, out, _ = run(capsys, "qm", "homogenize", "--word", B11, "--on", "b'")
+    assert rc == 0 and out == "1\n"
+
+
+def test_qm_cocycle_vanishes_on_commuting_powers(capsys):
+    rc, out, _ = run(capsys, "qm", "cocycle", "--word", B11,
+                     "--pair", "b'", "b'" * 9)
+    assert rc == 0 and out == "0\n"
 
 
 # ---------------------------------------------------------------- verify

@@ -8,11 +8,13 @@ import pytest
 
 from qmcoh import words
 from qmcoh.chains import m2_chain, pushforward
-from qmcoh.cochains import coboundary, pair
+from qmcoh.cochains import BoundedCochain, coboundary, pair
 from qmcoh.errors import CentralityViolation, KernelRelationViolation
 from qmcoh.extensions import (
+    DEFAULT_CUTOFF,
     AbstractKernel,
     CentralExtensionModel,
+    chain_module,
     check_nonabelian_cocycle,
     composition_cochain,
     lambda_chain,
@@ -396,21 +398,35 @@ def test_adjusted_lambda_cobounds_theta_difference():
 
 
 def test_plain_lambda_leaves_a_residue():
-    # the unadjusted middle term does not telescope; keep a witness so
-    # the discrepancy is visible if the evaluation ever changes
+    # the plain middle argument psi(a)(h(b)) drops h(a): the plain lambda
+    # is lambda-hat - rho with
+    #     rho(a,b) = m2(h(a) psi(a)(h(b)), f(a,b)) - m2(psi(a)(h(b)), f(a,b))
+    # so theta - theta2 - d lambda leaves exactly <c, d rho>
     rng = random.Random(22)
     h = _conjugating_map()
     k2 = KER.conjugate_by(h)
     pool = pi_elements(EXT.pi, bound=3)
     lam = lambda_chain(KER, k2, h)
-    d_lam = coboundary(lam)
+
+    def rho_ev(a, b):
+        ph_b = KER.psi(a)(h(b))
+        return (
+            m2_chain(F2, F2.mul(h(a), ph_b), KER.f(a, b), DEFAULT_CUTOFF)
+            - m2_chain(F2, ph_b, KER.f(a, b), DEFAULT_CUTOFF)
+        )
+
+    rho = BoundedCochain(EXT.pi, 2, rho_ev, module=chain_module(KER))
+    d_lam, d_rho = coboundary(lam), coboundary(rho)
     theta = theta_chain(KER)
     theta2 = theta_chain(k2)
     residues = []
     for _ in range(8):
         a, b, c = (rng.choice(pool) for _ in range(3))
-        z = theta2(a, b, c) - theta(a, b, c) - d_lam(a, b, c)
-        residues.append(pair(CX, z).value)
+        got = pair(CX, theta(a, b, c) - theta2(a, b, c) - d_lam(a, b, c))
+        want = pair(CX, d_rho(a, b, c))
+        assert got.error_bound == 0 and want.error_bound == 0
+        assert got.value == want.value, (a, b, c)
+        residues.append(got.value)
     assert any(r != 0 for r in residues)
 
 
