@@ -1,11 +1,17 @@
-"""Exact dense linear algebra over the rationals and small prime
-fields, organized around subspace-lattice work: spans, intersections,
+"""Exact linear algebra over the rationals and small prime fields,
+organized around subspace-lattice work: spans, intersections,
 preimages and quotient coordinates.
 
 Vectors are opaque to callers; every operation goes through a
-``VectorOps`` backend. The generic backend stores tuples of field
-elements, the GF(2) backend stores bit-packed ints (bit i = coordinate
-i), which is what makes the larger finite-group complexes tractable.
+``VectorOps`` backend, including the image of a vector under a list of
+columns (``image``). The GF(2) backend stores bit-packed ints (bit i =
+coordinate i), which is what makes the larger finite-group complexes
+tractable. The generic backend, for odd primes and Q, stores sparse
+dicts {coordinate: nonzero element}: a differential of the spectral
+sequence complexes has a handful of nonzeros per column, so an add or
+an elimination step costs the support of the vectors, not their width.
+Dense lists appear only at the edges (``from_entries``, ``entries``)
+and in the small coefficient matrices of ``matrix_rank``/``matmul``.
 Subspace bases are plain lists of vectors and never assumed reduced
 unless a function says so.
 """
@@ -147,11 +153,13 @@ class _Gf2Echelon:
 
 
 class _FieldEchelon:
-    """Row echelon over a generic field; vectors are tuples."""
+    """Row echelon over a generic field on sparse rows. A row's pivot is
+    its lowest stored coordinate, where the row holds 1; the arithmetic
+    is inline (``% p`` over GF(p), none over Q)."""
 
     def __init__(self, field):
         self.field = field
-        self.rows: dict = {}  # pivot index -> (vector list, combo dict)
+        self.rows: dict = {}  # pivot index -> (row dict, combo dict)
         self.count = 0
 
     @property
@@ -159,46 +167,60 @@ class _FieldEchelon:
         return len(self.rows)
 
     def _reduce(self, v):
-        F = self.field
-        v = list(v)
+        """Clear pivots from the lowest stored coordinate up, stopping at
+        the first coordinate that has no row; combo values are left
+        unreduced mod p."""
+        p = self.field.p
+        rows = self.rows
+        v = dict(v)
         combo: dict = {}
-        i = 0
-        n = len(v)
-        while i < n:
-            if v[i] == F.zero:
-                i += 1
-                continue
-            hit = self.rows.get(i)
+        while v:
+            lead = min(v)
+            hit = rows.get(lead)
             if hit is None:
                 break
-            c = v[i]
-            vec, vcombo = hit
-            for j in range(i, n):
-                v[j] = F.sub(v[j], F.mul(c, vec[j]))
-            for k, a in vcombo.items():
-                combo[k] = F.add(combo.get(k, F.zero), F.mul(c, a))
-            i += 1
-        return v, combo, i
+            c = v[lead]
+            row, rcombo = hit
+            for j, x in row.items():
+                s = v.get(j, 0) - c * x
+                if p:
+                    s %= p
+                if s:
+                    v[j] = s
+                else:
+                    del v[j]
+            for k, a in rcombo.items():
+                combo[k] = combo.get(k, 0) + c * a
+        return v, combo
 
     def reduce(self, v):
-        res, combo, lead = self._reduce(v)
-        out = [combo.get(i, self.field.zero) for i in range(self.count)]
-        if lead >= len(res):
-            res = None  # fully reduced to zero
+        """(residual, coeffs) with v = sum coeffs_i . offered_i + residual;
+        the residual is the zero vector exactly when v is in the span."""
+        res, combo = self._reduce(v)
+        zero, p = self.field.zero, self.field.p
+        out = [combo.get(i, zero) for i in range(self.count)]
+        if p:
+            out = [x % p for x in out]
         return res, out
 
     def add(self, v) -> bool:
         F = self.field
-        res, combo, lead = self._reduce(v)
+        res, combo = self._reduce(v)
         mine = self.count
         self.count += 1
-        if lead >= len(res):
+        if not res:
             return False
+        lead = min(res)
         inv = F.inv(res[lead])
-        vec = [F.mul(inv, x) for x in res]
-        combo = {k: F.neg(F.mul(inv, a)) for k, a in combo.items()}
+        p = F.p
+        if p:
+            row = {j: inv * x % p for j, x in res.items()}
+            combo = {k: -inv * a % p for k, a in combo.items()}
+        else:
+            row = {j: inv * x for j, x in res.items()}
+            combo = {k: -inv * a for k, a in combo.items()}
         combo[mine] = inv
-        self.rows[lead] = (vec, combo)
+        self.rows[lead] = (row, combo)
         return True
 
 
@@ -252,6 +274,15 @@ class Gf2Ops:
             m |= 1 << i
         return m
 
+    def image(self, v, cols):
+        """v's image under the map whose i-th column is cols[i]."""
+        acc = 0
+        while v:
+            low = v & -v
+            acc ^= cols[low.bit_length() - 1]
+            v ^= low
+        return acc
+
     def outside(self, v, mask):
         """The part of v supported off the masked coordinates."""
         return v & ~mask
@@ -261,62 +292,90 @@ class Gf2Ops:
 
 
 class FieldOps:
-    """Tuple vectors over an arbitrary exact field."""
+    """Sparse vectors over an arbitrary exact field.
+
+    A vector is a dict {coordinate: nonzero field element} that stores
+    no zeros, so equal vectors are equal dicts and the zero vector is
+    ``{}``. No operation mutates its arguments or the shared
+    ``zero_vec``, and every result is a fresh dict. The arithmetic is
+    inline: ``% p`` over GF(p), plain ``Fraction`` arithmetic over Q.
+    ``from_entries``/``entries`` convert from and to dense lists.
+    """
 
     def __init__(self, field, width: int):
         self.field = field
         self.width = width
-        self.zero_vec = (field.zero,) * width
+        self.zero_vec = {}
+
+    def _canonical(self, items):
+        of = self.field.of
+        return {i: y for i, y in ((i, of(x)) for i, x in items) if y}
 
     def from_entries(self, entries):
-        out = list(self.zero_vec)
-        for i, x in enumerate(entries):
-            out[i] = self.field.of(x)
-        return tuple(out)
+        if len(entries) > self.width:
+            raise IndexError(
+                f"{len(entries)} entries for a vector of width {self.width}")
+        return self._canonical(enumerate(entries))
 
     def entries(self, v):
-        return list(v)
+        out = [self.field.zero] * self.width
+        for i, x in v.items():
+            out[i] = x
+        return out
 
     def from_sparse(self, coords: dict):
-        out = list(self.zero_vec)
-        for i, x in coords.items():
-            out[i] = self.field.of(x)
-        return tuple(out)
+        return self._canonical(coords.items())
 
     def basis_vector(self, i):
-        out = list(self.zero_vec)
-        out[i] = self.field.one
-        return tuple(out)
+        return {i: self.field.one}
 
     def add(self, u, v):
-        F = self.field
-        return tuple(F.add(a, b) for a, b in zip(u, v))
+        p = self.field.p
+        out = dict(u)
+        for i, b in v.items():
+            s = out.get(i, 0) + b
+            if p:
+                s %= p
+            if s:
+                out[i] = s
+            else:
+                del out[i]
+        return out
 
     def scale(self, a, v):
         F = self.field
         a = F.of(a)
-        return tuple(F.mul(a, x) for x in v)
+        if not a:
+            return {}
+        if F.p:
+            return {i: a * x % F.p for i, x in v.items()}
+        return {i: a * x for i, x in v.items()}
 
     def is_zero(self, v):
-        z = self.field.zero
-        return all(x == z for x in v)
+        return not v
 
     def combine(self, coeffs, vectors):
-        acc = list(self.zero_vec)
-        F = self.field
+        acc: dict = {}
         for a, v in zip(coeffs, vectors):
-            if a == F.zero:
+            if not a:
                 continue
-            for i, x in enumerate(v):
-                acc[i] = F.add(acc[i], F.mul(a, x))
-        return tuple(acc)
+            for i, x in v.items():
+                acc[i] = acc.get(i, 0) + a * x
+        p = self.field.p
+        if p:
+            return {i: r for i, s in acc.items() if (r := s % p)}
+        return {i: s for i, s in acc.items() if s}
+
+    def image(self, v, cols):
+        """v's image under the map whose i-th column is cols[i]."""
+        return self.combine(v.values(), [cols[i] for i in v])
 
     def mask(self, indices):
         return frozenset(indices)
 
     def outside(self, v, mask):
-        z = self.field.zero
-        return tuple(z if i in mask else x for i, x in enumerate(v))
+        """The part of v supported off the masked coordinates."""
+        return {i: x for i, x in v.items() if i not in mask}
 
     def echelon(self):
         return _FieldEchelon(self.field)
@@ -367,7 +426,7 @@ def solve_coords(ops, basis, v):
     for b in basis:
         ech.add(b)
     res, coeffs = ech.reduce(v)
-    if res is not None and not ops.is_zero(res):
+    if not ops.is_zero(res):
         return None
     return list(coeffs[:len(basis)])
 

@@ -39,6 +39,12 @@ from .linalg import (FIELDS, GF2, complement_in, field_name, matmul,
 DEFAULT_BUDGET_MB = 256
 DEFAULT_WINDOW = 3
 DEFAULT_MAX_R = 4
+# bytes per stored entry of a sparse column, dict slot and key object
+# included (deep getsizeof of the z4-hs columns at max_total 5: 64.7
+# over F3, whose values are cached small ints; 112.7 over Q, one
+# Fraction per entry)
+ENTRY_BYTES_PRIME = 65
+ENTRY_BYTES_RATIONAL = 113
 
 
 def memory_budget_mb() -> int:
@@ -77,20 +83,7 @@ class FiniteComplex:
 
     def apply(self, n: int, v):
         """Image of a degree-n vector under d."""
-        cols = self.diffs[n]
-        tgt = self.ops[n + 1]
-        if self.field.p == 2:
-            acc = 0
-            while v:
-                low = v & -v
-                acc ^= cols[low.bit_length() - 1]
-                v ^= low
-            return acc
-        acc = tgt.zero_vec
-        for a, col in zip(v, cols):
-            if a != self.field.zero:
-                acc = tgt.add(acc, tgt.scale(a, col))
-        return acc
+        return self.ops[n + 1].image(v, self.diffs[n])
 
     def d_rank(self, n: int) -> int:
         if n < 0 or n >= len(self.diffs):
@@ -194,7 +187,7 @@ class Filtration:
                 ech.add(b)
             self._membership[key] = ech
         res, _ = ech.reduce(v)
-        return res is None or ops.is_zero(res)
+        return ops.is_zero(res)
 
     @classmethod
     def from_coordinates(cls, cx: FiniteComplex, index_sets,
@@ -463,6 +456,32 @@ def _orbit_key(gamma: FiniteGroup, subgroup, tup):
     return min(tuple(gamma.mul(h, x) for x in tup) for h in subgroup)
 
 
+def hs_memory_estimate_mb(ext, field, max_total: int) -> float:
+    """Estimated size of the differentials ``hs_double_complex`` stores.
+
+    Over GF(2) a column is a bit-packed int, so the estimate is one bit
+    per entry of the dense matrices. Over other fields a column stores
+    only its nonzeros. A column of block (p, q) has at most (p + 2)|pi|
+    horizontal entries, pi the quotient, and the vertical entries of the
+    block are exactly (q + 2) per orbit of tuples of length q + 2; the
+    count is an upper bound, since terms may cancel or merge. Each
+    stored entry costs ``ENTRY_BYTES_PRIME`` or ``ENTRY_BYTES_RATIONAL``.
+    """
+    n_orb = [ext.gamma.order ** t // ext.g.order
+             for t in range(1, max_total + 3)]  # orbits of t-tuples
+    n_pi = ext.pi.order
+    if field.p == 2:
+        dims = [sum(n_pi ** p * n_orb[n - p] for p in range(n + 1))
+                for n in range(max_total + 1)]
+        return sum(dims[n] * dims[n + 1]
+                   for n in range(max_total)) / 8 / 2 ** 20
+    entries = sum(n_pi ** p * (n_orb[q] * (p + 2) * n_pi
+                               + n_orb[q + 1] * (q + 2))
+                  for q in range(max_total) for p in range(max_total - q))
+    unit = ENTRY_BYTES_RATIONAL if field.p is None else ENTRY_BYTES_PRIME
+    return entries * unit / 2 ** 20
+
+
 def hs_double_complex(ext, field=GF2, max_total: int = 5):
     """Total complex and column filtration of the quotient-by-fiber
     double complex of a finite extension, with trivial one-dimensional
@@ -480,13 +499,7 @@ def hs_double_complex(ext, field=GF2, max_total: int = 5):
     subgroup = tuple(sorted(ext.include(x) for x in g.elements()))
     pi_elts = tuple(sorted(pi.elements()))
 
-    n_orbits_est = [gamma.order ** (q + 1) // g.order
-                    for q in range(max_total + 1)]
-    dims_est = [sum(len(pi_elts) ** p * n_orbits_est[n - p]
-                    for p in range(n + 1)) for n in range(max_total + 1)]
-    unit_bits = 1 if field.p == 2 else 128
-    est_bits = sum(dims_est[n] * dims_est[n + 1] for n in range(max_total))
-    est_mb = est_bits * unit_bits / 8 / 2 ** 20
+    est_mb = hs_memory_estimate_mb(ext, field, max_total)
     budget = memory_budget_mb()
     if est_mb > budget:
         raise BudgetExceeded(

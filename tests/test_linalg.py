@@ -1,17 +1,209 @@
+import copy
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from qmcoh.linalg import (FIELDS, GF2, QQ, PrimeField, complement_in,
-                          in_span, intersect, matmul, matrix_rank, rank_of,
-                          relations, solve_coords, span_reduce, subspace_sum,
-                          vector_ops, vectors_into_coordspan,
-                          vectors_into_span)
+from qmcoh.linalg import (FIELDS, GF2, QQ, FieldOps, PrimeField,
+                          complement_in, in_span, intersect, matmul,
+                          matrix_rank, rank_of, relations, solve_coords,
+                          span_reduce, subspace_sum, vector_ops,
+                          vectors_into_coordspan, vectors_into_span)
 
 
 def vecs(ops, rows):
     return [ops.from_entries(r) for r in rows]
+
+
+# ------------------------------------------- dense reference backend
+# The generic-field backend as it was before it became sparse: tuple
+# vectors and one field-method call per entry. The sparse FieldOps must
+# give the same answers.
+
+
+class DenseEchelon:
+    def __init__(self, field):
+        self.field = field
+        self.rows: dict = {}  # pivot index -> (vector list, combo dict)
+        self.count = 0
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def _reduce(self, v):
+        F = self.field
+        v = list(v)
+        combo: dict = {}
+        i = 0
+        n = len(v)
+        while i < n:
+            if v[i] == F.zero:
+                i += 1
+                continue
+            hit = self.rows.get(i)
+            if hit is None:
+                break
+            c = v[i]
+            vec, vcombo = hit
+            for j in range(i, n):
+                v[j] = F.sub(v[j], F.mul(c, vec[j]))
+            for k, a in vcombo.items():
+                combo[k] = F.add(combo.get(k, F.zero), F.mul(c, a))
+            i += 1
+        return v, combo, i
+
+    def reduce(self, v):
+        res, combo, _lead = self._reduce(v)
+        return tuple(res), [combo.get(i, self.field.zero)
+                            for i in range(self.count)]
+
+    def add(self, v) -> bool:
+        F = self.field
+        res, combo, lead = self._reduce(v)
+        mine = self.count
+        self.count += 1
+        if lead >= len(res):
+            return False
+        inv = F.inv(res[lead])
+        vec = [F.mul(inv, x) for x in res]
+        combo = {k: F.neg(F.mul(inv, a)) for k, a in combo.items()}
+        combo[mine] = inv
+        self.rows[lead] = (vec, combo)
+        return True
+
+
+class DenseOps:
+    def __init__(self, field, width: int):
+        self.field = field
+        self.width = width
+        self.zero_vec = (field.zero,) * width
+
+    def from_entries(self, entries):
+        out = list(self.zero_vec)
+        for i, x in enumerate(entries):
+            out[i] = self.field.of(x)
+        return tuple(out)
+
+    def entries(self, v):
+        return list(v)
+
+    def is_zero(self, v):
+        z = self.field.zero
+        return all(x == z for x in v)
+
+    def combine(self, coeffs, vectors):
+        acc = list(self.zero_vec)
+        F = self.field
+        for a, v in zip(coeffs, vectors):
+            if a == F.zero:
+                continue
+            for i, x in enumerate(v):
+                acc[i] = F.add(acc[i], F.mul(a, x))
+        return tuple(acc)
+
+    def mask(self, indices):
+        return frozenset(indices)
+
+    def outside(self, v, mask):
+        z = self.field.zero
+        return tuple(z if i in mask else x for i, x in enumerate(v))
+
+    def echelon(self):
+        return DenseEchelon(self.field)
+
+
+@st.composite
+def field_problems(draw):
+    """A field, a width in 0..6, entry rows over it that repeat rows and
+    hold zero rows, a split point, a target row and a coordinate set."""
+    name = draw(st.sampled_from(["F3", "F5", "Q"]))
+    width = draw(st.integers(0, 6))
+    if name == "Q":
+        elt = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    else:
+        elt = st.integers(-6, 6)
+    row = st.lists(st.just(0) | elt, min_size=width, max_size=width)
+    pool = draw(st.lists(row, min_size=1, max_size=5)) + [[0] * width]
+    rows = draw(st.lists(st.sampled_from(pool), max_size=9))
+    cut = draw(st.integers(0, len(rows)))
+    target = draw(st.sampled_from(pool))
+    axes = draw(st.sets(st.integers(0, width - 1)) if width else st.just(set()))
+    return FIELDS[name], width, rows, cut, target, axes
+
+
+@given(field_problems())
+@example((FIELDS["F3"], 0, [[], [], []], 1, [], set()))
+@example((FIELDS["F5"], 1, [[3], [0], [3], [8]], 2, [2], set()))
+@example((QQ, 1, [[0], [Fraction(1, 2)], [Fraction(1, 2)]], 1, [1], {0}))
+@settings(max_examples=300)
+def test_sparse_backend_matches_the_dense_reference(problem):
+    field, width, rows, cut, target, axes = problem
+    sparse, dense = vector_ops(field, width), DenseOps(field, width)
+    assert isinstance(sparse, FieldOps)
+    sv, dv = vecs(sparse, rows), vecs(dense, rows)
+
+    def same(got_sparse, got_dense):
+        return [sparse.entries(v) for v in got_sparse] == \
+            [dense.entries(v) for v in got_dense]
+
+    assert same(sv, dv)
+    assert rank_of(sparse, sv) == rank_of(dense, dv)
+    assert same(span_reduce(sparse, sv), span_reduce(dense, dv))
+    assert same(complement_in(sparse, sv[:cut], sv[cut:]),
+                complement_in(dense, dv[:cut], dv[cut:]))
+    assert relations(sparse, sv) == relations(dense, dv)
+    ech = dense.echelon()
+    independent = [r for r, v in zip(rows, dv) if ech.add(v)]
+    for basis in (rows, independent):
+        assert solve_coords(sparse, vecs(sparse, basis),
+                            sparse.from_entries(target)) == \
+            solve_coords(dense, vecs(dense, basis),
+                         dense.from_entries(target))
+    assert vectors_into_coordspan(sparse, sv, sparse.mask(axes)) == \
+        vectors_into_coordspan(dense, dv, dense.mask(axes))
+
+
+@pytest.mark.parametrize("name", ["F3", "F5", "Q"])
+def test_sparse_vectors_are_canonical(name):
+    ops = vector_ops(FIELDS[name], 3)
+    v = ops.from_entries([1, 2, Fraction(1, 2) if name == "Q" else 4])
+    assert ops.add(v, ops.scale(-1, v)) == ops.zero_vec == {}
+    assert ops.scale(0, v) == {}
+    assert ops.outside(v, ops.mask(range(3))) == {}
+    assert ops.combine([1, -1], [v, v]) == {}
+    assert ops.from_sparse({0: 0, 2: ops.field.p or 0}) == {}
+    assert ops.entries(ops.zero_vec) == [0, 0, 0]
+    with pytest.raises(IndexError):
+        ops.from_entries([1, 0, 0, 1])
+    f3 = vector_ops(FIELDS["F3"], 3)
+    assert f3.from_entries([0, 3, 0]) == {}
+    assert f3.is_zero(f3.from_entries([0, 3, 0]))
+    assert f3.from_entries([0, 4, -1]) == {1: 1, 2: 2}
+
+
+@pytest.mark.parametrize("name", ["F3", "Q"])
+def test_sparse_ops_leave_their_arguments_alone(name):
+    ops = vector_ops(FIELDS[name], 4)
+    u = ops.from_entries([1, 0, 2, 1])
+    v = ops.from_entries([2, 1, 1, 0])
+    cols = [ops.basis_vector(i) for i in range(4)]
+    args = (u, v, cols)
+    before = copy.deepcopy(args)
+    results = [ops.add(u, v), ops.add(u, ops.zero_vec),
+               ops.add(ops.zero_vec, v), ops.scale(1, u), ops.scale(2, u),
+               ops.combine([1], [u]), ops.combine([1, 1], [u, v]),
+               ops.outside(u, ops.mask([3])), ops.image(u, cols),
+               ops.image(ops.zero_vec, cols)]
+    ech = ops.echelon()
+    for w in (u, v, u, ops.zero_vec):
+        ech.add(w)
+        ech.reduce(w)
+    for got in results:
+        got[0] = ops.field.one  # results are fresh dicts
+    assert (u, v, cols) == before
+    assert ops.zero_vec == {}
 
 
 def test_prime_field_rejects_composite():

@@ -2,12 +2,15 @@ import pytest
 
 from qmcoh.errors import BudgetExceeded, InvariantViolation
 from qmcoh.fixtures import z4_extension
-from qmcoh.linalg import FIELDS
-from qmcoh.spectral import (FiniteComplex, Filtration, SpectralSequence,
-                            complex_from_json, complex_to_json,
-                            e_infinity_check, hs_double_complex,
-                            hs_row_filtration, lemma3_check, page,
-                            random_filtered_complex, sequence_report)
+from qmcoh.linalg import FIELDS, vector_ops
+from qmcoh.spectral import (DEFAULT_BUDGET_MB, ENTRY_BYTES_PRIME,
+                            ENTRY_BYTES_RATIONAL, FiniteComplex, Filtration,
+                            SpectralSequence, complex_from_json,
+                            complex_to_json, e_infinity_check,
+                            hs_double_complex, hs_memory_estimate_mb,
+                            hs_row_filtration, lemma3_check,
+                            memory_budget_mb, page, random_filtered_complex,
+                            sequence_report)
 
 CX, FILT, INFO = hs_double_complex(z4_extension())
 ENGINE = SpectralSequence(CX, FILT)
@@ -136,6 +139,32 @@ def test_budget_cap_refuses_oversized_builds(monkeypatch):
     monkeypatch.setenv("QMCOH_BUDGET_MB", "0")
     with pytest.raises(BudgetExceeded):
         hs_double_complex(z4_extension())
+    for name in ("F3", "Q"):
+        with pytest.raises(BudgetExceeded):
+            hs_double_complex(z4_extension(), field=FIELDS[name])
+
+
+def test_budget_estimate_follows_what_the_backend_stores(monkeypatch):
+    ext = z4_extension()
+    # GF(2): one bit per entry of the dense matrices
+    dense_bits = sum(a * b for a, b in zip(CX.dims, CX.dims[1:]))
+    assert hs_memory_estimate_mb(ext, FIELDS["F2"], 5) == \
+        dense_bits / 8 / 2 ** 20
+    # odd fields: a bound on the stored nonzeros times their unit cost
+    for name, max_total, unit in (("F3", 4, ENTRY_BYTES_PRIME),
+                                  ("Q", 3, ENTRY_BYTES_RATIONAL)):
+        cx, _, _ = hs_double_complex(ext, field=FIELDS[name],
+                                     max_total=max_total)
+        stored = sum(len(col) for cols in cx.diffs for col in cols)
+        bound = hs_memory_estimate_mb(ext, FIELDS[name], max_total) \
+            * 2 ** 20 / unit
+        assert stored <= bound < 2 * stored, name
+    # the default budget admits max_total = 6 over every field; the
+    # estimate alone decides, so nothing is built here
+    monkeypatch.delenv("QMCOH_BUDGET_MB", raising=False)
+    for name in ("F2", "F3", "Q"):
+        assert 0 < hs_memory_estimate_mb(ext, FIELDS[name], 6) \
+            <= memory_budget_mb() == DEFAULT_BUDGET_MB
 
 
 def test_random_filtered_complexes_converge():
@@ -179,6 +208,17 @@ def test_complex_validation_rejects_broken_differential():
     f2 = FIELDS["F2"]
     with pytest.raises(InvariantViolation):
         FiniteComplex(f2, [1, 1, 1], [[1], [1]])  # d.d = identity != 0
+    for name in ("F3", "Q"):
+        field = FIELDS[name]
+        one, two = vector_ops(field, 1), vector_ops(field, 2)
+        e = one.from_entries([1])
+        with pytest.raises(InvariantViolation):
+            FiniteComplex(field, [1, 1, 1], [[e], [e]])
+        # d.d = 1 + 1 vanishes over GF(2) only; 1 - 1 vanishes everywhere
+        d0 = [two.from_entries([1, 1])]
+        with pytest.raises(InvariantViolation):
+            FiniteComplex(field, [1, 2, 1], [d0, [e, e]])
+        FiniteComplex(field, [1, 2, 1], [d0, [e, one.scale(-1, e)]])
 
 
 def test_filtration_validation_rejects_unstable_levels():
@@ -187,6 +227,20 @@ def test_filtration_validation_rejects_unstable_levels():
     with pytest.raises(InvariantViolation):
         # level 1 contains degree 0 but nothing in degree 1
         Filtration(cx, [[[1], [1]], [[1]]])
+    for name in ("F3", "Q"):
+        field = FIELDS[name]
+        one, two = vector_ops(field, 1), vector_ops(field, 2)
+        e = one.from_entries([1])
+        cx = FiniteComplex(field, [1, 1], [[e]])
+        with pytest.raises(InvariantViolation):
+            Filtration(cx, [[[e], [e]], [[e]]])
+        # d(e) = e0 - e1 lies in F^1 = span(e0 - e1), but not in
+        # span(e0 + e1), which is the same line over GF(2)
+        cx = FiniteComplex(field, [1, 2], [[two.from_entries([1, -1])]])
+        whole = [two.basis_vector(0), two.basis_vector(1)]
+        with pytest.raises(InvariantViolation):
+            Filtration(cx, [[[e], [e]], [whole, [two.from_entries([1, 1])]]])
+        Filtration(cx, [[[e], [e]], [whole, [two.from_entries([1, -1])]]])
 
 
 def test_report_is_convergent_and_ordered():
