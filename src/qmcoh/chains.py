@@ -14,6 +14,14 @@ prepends the identity.
 
 Entries of free-group chains may be symbolic powers (``words.Pow``); the
 boundary multiplies same-base powers without expanding them.
+
+Entries become canonical in one place, the ``Chain`` constructor: free
+words and powers are keyed there by primitive root, so that equal
+elements share a dict key. User-built chains, ``Chain.basis``,
+``m_chain``, the lead term of ``m2_chain`` and ``pushforward`` (a
+homomorphism can send a root to a proper power or to the identity) all
+pass through it. Sums, differences, scalings and boundaries start from
+canonical supports and build their results directly.
 """
 
 from __future__ import annotations
@@ -41,20 +49,28 @@ class MSeriesTail(NamedTuple):
         return abs(self.coeff) * Fraction(1, 2**self.cutoff)
 
 
-def _canon_entry(group: Group, x):
-    # Free-word entries are keyed by primitive root so that equal
-    # elements always share a dict key, whatever path produced them.
-    if isinstance(x, Pow):
-        return words.pow_entry(x.base, x.exp)
-    if isinstance(group, FreeGroup) and x != ():
-        return words.pow_entry(x, 1)
-    return x
+def _accumulate(support: dict, pairs) -> dict:
+    """Add (tuple, coeff) pairs into ``support``, dropping every key whose
+    coefficient cancels to zero; returns ``support``."""
+    for t, c in pairs:
+        acc = support.get(t, 0) + c
+        if acc:
+            support[t] = acc
+        else:
+            support.pop(t, None)
+    return support
 
 
-def _entry_mul(group: Group, x, y):
-    if isinstance(group, FreeGroup):
-        return words.entry_mul(x, y)
-    return group.mul(x, y)
+def _canonizer(group: Group):
+    """Map from a raw tuple to its canonical key, chosen once per group:
+    free-word entries and symbolic powers are keyed by primitive root,
+    so that equal elements always share a dict key whatever path
+    produced them; elements of other models are canonical already."""
+    if not isinstance(group, FreeGroup):
+        return tuple
+    pow_entry = words.pow_entry
+    return lambda t: tuple(
+        pow_entry(*x) if isinstance(x, Pow) else pow_entry(x, 1) for x in t)
 
 
 class Chain:
@@ -72,26 +88,34 @@ class Chain:
             raise ValueError("degree must be >= 0")
         self.group = group
         self.degree = degree
+        canon = _canonizer(group)
         e = group.identity
-        support: dict = {}
+
+        def terms(pairs):
+            for t, coeff in pairs:
+                t = canon(t)
+                if len(t) != degree:
+                    raise ValueError(
+                        f"tuple {t!r} has wrong length for degree {degree}")
+                if e not in t:  # normalized complex: degenerate tuples vanish
+                    yield t, Fraction(coeff)
+
         pairs = items.items() if isinstance(items, dict) else items
-        for t, coeff in pairs:
-            t = tuple(_canon_entry(group, x) for x in t)
-            if len(t) != degree:
-                raise ValueError(f"tuple {t!r} has wrong length for degree {degree}")
-            if any(x == e for x in t):
-                continue  # normalized complex: degenerate tuples vanish
-            coeff = Fraction(coeff)
-            acc = support.get(t, 0) + coeff
-            if acc == 0:
-                support.pop(t, None)
-            else:
-                support[t] = acc
-        self.support = support
+        self.support = _accumulate({}, terms(pairs))
         self.tails = tuple(tails)
         if tail_bound is None:
             tail_bound = sum((t.mass for t in self.tails), Fraction(0))
         self.tail_bound = Fraction(tail_bound)
+
+    @classmethod
+    def _of(cls, group: Group, degree: int, support: dict, tails: tuple,
+            tail_bound: Fraction) -> "Chain":
+        """Wrap a support dict whose keys are canonical already and whose
+        coefficients are nonzero Fractions; no per-entry work."""
+        z = object.__new__(cls)
+        z.group, z.degree, z.support = group, degree, support
+        z.tails, z.tail_bound = tails, tail_bound
+        return z
 
     @classmethod
     def zero(cls, group: Group, degree: int) -> "Chain":
@@ -110,11 +134,11 @@ class Chain:
 
     def scale(self, a) -> "Chain":
         a = Fraction(a)
-        return Chain(
+        return Chain._of(
             self.group, self.degree,
-            [(t, a * c) for t, c in self.support.items()],
-            tails=tuple(t._replace(coeff=a * t.coeff) for t in self.tails),
-            tail_bound=abs(a) * self.tail_bound,
+            {t: a * c for t, c in self.support.items()} if a else {},
+            tuple(t._replace(coeff=a * t.coeff) for t in self.tails),
+            abs(a) * self.tail_bound,
         )
 
     def __neg__(self):
@@ -123,17 +147,11 @@ class Chain:
     def __add__(self, other: "Chain") -> "Chain":
         if self.group is not other.group or self.degree != other.degree:
             raise ValueError("chain mismatch")
-        items = dict(self.support)
-        for t, c in other.support.items():
-            acc = items.get(t, 0) + c
-            if acc == 0:
-                items.pop(t, None)
-            else:
-                items[t] = acc
-        return Chain(
-            self.group, self.degree, items,
-            tails=self.tails + other.tails,
-            tail_bound=self.tail_bound + other.tail_bound,
+        return Chain._of(
+            self.group, self.degree,
+            _accumulate(dict(self.support), other.support.items()),
+            self.tails + other.tails,
+            self.tail_bound + other.tail_bound,
         )
 
     def __sub__(self, other):
@@ -159,26 +177,30 @@ def boundary(z: Chain) -> Chain:
     """Bar boundary; the tail bound propagates multiplied by (n+1).
 
     In degree 1 the two outer terms cancel (trivial coefficients), so
-    the result is the zero chain of degree 0.
+    the result is the zero chain of degree 0. Merged entries come out of
+    ``words.entry_mul`` or the group law canonical already, so only the
+    tuples that now contain the identity are dropped.
     """
     n = z.degree
     if n < 1:
         raise ValueError("boundary needs degree >= 1")
     group = z.group
-    items: list = []
-    for t, c in z.support.items():
-        items.append((t[1:], c))
-        sign = 1
-        for i in range(n - 1):
-            sign = -sign
-            merged = t[:i] + (_entry_mul(group, t[i], t[i + 1]),) + t[i + 2:]
-            items.append((merged, sign * c))
-        items.append((t[:-1], c if n % 2 == 0 else -c))
-    return Chain(
-        group, n - 1, items,
-        tails=(),
-        tail_bound=(n + 1) * z.tail_bound,
-    )
+    mul = words.entry_mul if isinstance(group, FreeGroup) else group.mul
+    e = group.identity
+
+    def faces():
+        for t, c in z.support.items():
+            yield t[1:], c
+            sign = 1
+            for i in range(n - 1):
+                sign = -sign
+                x = mul(t[i], t[i + 1])
+                if x != e:
+                    yield t[:i] + (x,) + t[i + 2:], sign * c
+            yield t[:-1], c if n % 2 == 0 else -c
+
+    return Chain._of(group, n - 1, _accumulate({}, faces()), (),
+                     (n + 1) * z.tail_bound)
 
 
 def m_chain(group: Group, g, N: int) -> Chain:
@@ -199,7 +221,7 @@ def m_chain(group: Group, g, N: int) -> Chain:
     items = []
     for n in range(1, N + 1):
         k = 2 ** (n - 1)
-        p = words.pow_entry(g, k) if symbolic else group.power(g, k)
+        p = Pow(g, k) if symbolic else group.power(g, k)
         items.append(((p, p), Fraction(1, 2**n)))
     return Chain(
         group, 2, items,
@@ -218,15 +240,15 @@ def m2_chain(group: Group, g, h, N: int) -> Chain:
 
 def pushforward(aut, z: Chain) -> Chain:
     """Apply a homomorphism entrywise; symbolic powers map base-wise
-    (images of powers are powers of images)."""
+    (images of powers are powers of images). The image of a root may be
+    a proper power or the identity, so the result is canonicalized
+    again."""
     def fwd(x):
-        if isinstance(x, Pow):
-            return words.pow_entry(aut(x.base), x.exp)
-        return aut(x)
+        return Pow(aut(x.base), x.exp) if isinstance(x, Pow) else aut(x)
 
     return Chain(
         z.group, z.degree,
-        [(tuple(fwd(x) for x in t), c) for t, c in z.support.items()],
+        [(tuple(map(fwd, t)), c) for t, c in z.support.items()],
         tails=tuple(t._replace(base=aut(t.base)) for t in z.tails),
         tail_bound=z.tail_bound,
     )
@@ -242,33 +264,26 @@ class HomogeneousChain:
             raise ValueError("degree must be >= 0")
         self.group = group
         self.degree = degree
-        support: dict = {}
+
+        def terms(pairs):
+            for t, coeff in pairs:
+                t = tuple(t)
+                if len(t) != degree + 1:
+                    raise ValueError(
+                        f"degree-{degree} tuples have {degree + 1} components"
+                    )
+                yield t, Fraction(coeff)
+
         pairs = items.items() if isinstance(items, dict) else items
-        for t, coeff in pairs:
-            t = tuple(t)
-            if len(t) != degree + 1:
-                raise ValueError(
-                    f"degree-{degree} tuples have {degree + 1} components"
-                )
-            coeff = Fraction(coeff)
-            acc = support.get(t, 0) + coeff
-            if acc == 0:
-                support.pop(t, None)
-            else:
-                support[t] = acc
-        self.support = support
+        self.support = _accumulate({}, terms(pairs))
 
     def __add__(self, other):
         if self.group is not other.group or self.degree != other.degree:
             raise ValueError("chain mismatch")
-        items = dict(self.support)
-        for t, c in other.support.items():
-            acc = items.get(t, 0) + c
-            if acc == 0:
-                items.pop(t, None)
-            else:
-                items[t] = acc
-        return HomogeneousChain(self.group, self.degree, items)
+        return HomogeneousChain(
+            self.group, self.degree,
+            [*self.support.items(), *other.support.items()],
+        )
 
     def scale(self, a):
         a = Fraction(a)
@@ -321,48 +336,3 @@ def contracting_homotopy(z: HomogeneousChain) -> HomogeneousChain:
         z.group, z.degree + 1,
         [((e,) + t, c) for t, c in z.support.items()],
     )
-
-
-def format_element(group: Group, x) -> object:
-    """JSON-friendly form of a chain entry component, dispatched on the
-    group model (free words as text, finite elements as ints, twisted
-    pairs as two-element lists)."""
-    from .groups import TwistedProduct
-
-    if isinstance(x, Pow):
-        return f"({format_element(group, x.base)})^{x.exp}"
-    if isinstance(group, TwistedProduct):
-        return [
-            format_element(group.base, x[0]),
-            format_element(group.fiber, x[1]),
-        ]
-    if isinstance(group, FreeGroup):
-        return words.fmt(x)
-    return x
-
-
-def chain_to_json(z: Chain) -> dict:
-    """Dump format: entry list plus tail metadata."""
-    entries = []
-    for t, c in z.support.items():
-        entries.append({
-            "tuple": [format_element(z.group, x) for x in t],
-            "coeff": str(c),
-        })
-    entries.sort(key=lambda e: (str(e["tuple"]), e["coeff"]))
-    out = {
-        "degree": z.degree,
-        "entries": entries,
-        "tail_bound": str(z.tail_bound),
-        "tail_kind": "m_series" if z.tails else "none",
-    }
-    if z.tails:
-        out["tails"] = [
-            {
-                "base": format_element(z.group, t.base),
-                "cutoff": t.cutoff,
-                "coeff": str(t.coeff),
-            }
-            for t in z.tails
-        ]
-    return out

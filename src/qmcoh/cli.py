@@ -64,10 +64,20 @@ def _check_at_least(value: int, least: int, flag: str) -> None:
         raise CliError(f"{flag} must be >= {least}, got {value}")
 
 
+def _write_out(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as ex:
+        raise CliError(
+            f"cannot write --out {path}: {ex.strerror or ex}") from ex
+
+
 # ------------------------------------------------------------------- qm
 
 
 def _cmd_qm(args) -> int:
+    _check_at_least(args.samples, 1, "--samples")
+    _check_at_least(args.size, 1, "--size")
     w = words.parse(args.word)
     if not w:
         raise CliError("--word must be a nonempty reduced word")
@@ -113,7 +123,7 @@ def _cmd_verify(args) -> int:
     text = report_json(report)
     sys.stdout.write(text)
     if args.out:
-        Path(args.out).write_text(text)
+        _write_out(args.out, text)
     return 0 if report["passed"] else 1
 
 
@@ -168,14 +178,13 @@ def _print_ss(report: dict):
 
 def _cmd_ss(args) -> int:
     _check_at_least(args.max_r, 0, "--max-r")
+    _check_at_least(args.window, 0, "--window")
     cx, filt = _load_complex(args)
     report = sequence_report(cx, filt, window=args.window, max_r=args.max_r)
     _print_ss(report)
     if args.out:
         doc = complex_to_json(cx, filt)
-        Path(args.out).write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        )
+        _write_out(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 
 

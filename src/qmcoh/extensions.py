@@ -4,8 +4,8 @@ extension attached to a bounded 2-cocycle.
 An abstract kernel is a lift of an outer action: a map psi into Aut(G)
 plus a defect f on pairs measuring how far psi is from a homomorphism.
 Extensions with a chosen set-theoretic section produce kernels
-(``section_data``); the 3-cochain ``obstruction_K`` measures whether an
-arbitrary kernel arises that way.
+(``ExtensionData.kernel``); the 3-cochain ``obstruction_K`` measures
+whether an arbitrary kernel arises that way.
 
 ``CentralExtensionModel`` realizes the group of pairs (t, g) with the
 law twisted by a 2-cocycle, its scalar quasimorphism, and the canonical
@@ -214,10 +214,6 @@ class ExtensionData:
 
     def __repr__(self):
         return f"ExtensionData({self.name})"
-
-
-def section_data(ext: ExtensionData) -> AbstractKernel:
-    return ext.kernel()
 
 
 def obstruction_K(k: AbstractKernel):

@@ -13,7 +13,6 @@ permutation, ad hoc ones by a pair of functions).
 
 from __future__ import annotations
 
-import json
 import random
 
 from . import words
@@ -159,24 +158,6 @@ class FiniteGroup(Group):
         ]
         return cls(table, identity=1, name=name or f"Z/{n}")
 
-    @classmethod
-    def from_json(cls, data) -> "FiniteGroup":
-        """Load {order, identity, table} (table 1-based)."""
-        if isinstance(data, (str, bytes)):
-            data = json.loads(data)
-        order = data["order"]
-        table = data["table"]
-        if len(table) != order:
-            raise ValueError("order field disagrees with table size")
-        return cls(table, identity=data["identity"])
-
-    def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "identity": self.identity,
-            "table": [list(row) for row in self.table],
-        }
-
     def mul(self, *elts):
         acc = self.identity
         for g in elts:
@@ -291,29 +272,6 @@ class FreeAutomorphism(Automorphism):
             other.inverse().apply_to(w) for w in self.inverse_images
         )
         return FreeAutomorphism(self.group, images, inv_images)
-
-    @classmethod
-    def from_json(cls, group: FreeGroup, data) -> "FreeAutomorphism":
-        """Load {generator_images: [...]} with apostrophe-inverse words.
-
-        An ``inverse_images`` witness may be supplied alongside; without
-        it the loader refuses, since invertibility is part of the type.
-        """
-        if isinstance(data, (str, bytes)):
-            data = json.loads(data)
-        images = [words.parse(s) for s in data["generator_images"]]
-        if "inverse_images" not in data:
-            raise ValueError(
-                "automorphism file lacks an inverse_images witness"
-            )
-        inv_images = [words.parse(s) for s in data["inverse_images"]]
-        return cls(group, images, inv_images)
-
-    def to_json(self) -> dict:
-        return {
-            "generator_images": [words.fmt(w) for w in self.images],
-            "inverse_images": [words.fmt(w) for w in self.inverse_images],
-        }
 
     def __repr__(self):
         return "FreeAutomorphism(%s)" % ", ".join(
@@ -485,12 +443,3 @@ class TwistedProduct(Group):
         if a != self.base.identity:
             raise ValueError(f"{g!r} is not in the fiber")
         return x
-
-
-def load_group(data) -> Group:
-    """Dispatch {free: {rank}} / {order, identity, table} JSON forms."""
-    if isinstance(data, (str, bytes)):
-        data = json.loads(data)
-    if "free" in data:
-        return FreeGroup(data["free"]["rank"])
-    return FiniteGroup.from_json(data)

@@ -28,7 +28,6 @@ import itertools
 import os
 import random
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import BudgetExceeded, InvariantViolation
 from .groups import FiniteGroup
@@ -209,16 +208,6 @@ class Filtration:
             cx, [[range(d)] for d in cx.dims], check=False)
 
 
-class PageCell(NamedTuple):
-    r: int
-    p: int
-    q: int
-    dim: int
-    reps: tuple
-    d_columns: tuple  # columns of d_r over the target cell's reps
-    d_target_dim: int
-
-
 class SpectralSequence:
     """Page computations for one filtered complex, with caching. Cells
     are available for p + q <= max_degree - 1; induced differentials
@@ -383,20 +372,6 @@ class SpectralSequence:
 
     def e_infinity_dim(self, p: int, q: int) -> int:
         return self.dim(self.stable_r(p, q), p, q)
-
-
-def page(cx: FiniteComplex, filt: Filtration, r: int, p: int, q: int,
-         engine: SpectralSequence | None = None) -> PageCell:
-    """One cell of one page, with its induced differential."""
-    if r < 0 or p < 0 or q < 0:
-        raise ValueError("page indices must be non-negative")
-    if p + q + 1 > cx.max_degree - 1:
-        raise ValueError("cell too close to the top stored degree")
-    eng = engine or SpectralSequence(cx, filt)
-    reps = eng.representatives(r, p, q)
-    cols, tdim = eng.d_data(r, p, q)
-    return PageCell(r, p, q, len(reps), tuple(reps),
-                    tuple(tuple(c) for c in cols), tdim)
 
 
 def e_infinity_check(engine: SpectralSequence, n: int) -> dict:

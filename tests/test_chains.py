@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmcoh import words
 from qmcoh.chains import (
@@ -9,7 +10,6 @@ from qmcoh.chains import (
     HomogeneousChain,
     MSeriesTail,
     boundary,
-    chain_to_json,
     contracting_homotopy,
     homogeneous_boundary,
     m2_chain,
@@ -210,18 +210,73 @@ def test_homogeneous_boundary_squared_zero():
         assert homogeneous_boundary(homogeneous_boundary(z)).support == {}
 
 
-def test_chain_to_json_shape():
-    z = m_chain(F2, p("ab"), 2)
-    out = chain_to_json(z)
-    assert out["tail_kind"] == "m_series"
-    assert out["tail_bound"] == "1/4"
-    assert {e["coeff"] for e in out["entries"]} == {"1/2", "1/4"}
-    assert out["tails"][0]["base"] == "ab"
-    tuples = [e["tuple"] for e in out["entries"]]
-    assert ["(ab)^2", "(ab)^2"] in tuples and ["ab", "ab"] in tuples
+# ------------------------------------------- canonical entries at the edge
+
+Z4 = FiniteGroup.cyclic(4)
 
 
-def test_chain_to_json_finite_and_twisted():
-    z4 = FiniteGroup.cyclic(4)
-    out = chain_to_json(Chain.basis(z4, 2, 3))
-    assert out["entries"][0]["tuple"] == [2, 3]
+def _endomorphism(images):
+    """Substitution homomorphism of F2; may send a generator to a proper
+    power or to the identity."""
+    def apply(w):
+        return words.mul(*(images[k - 1] if k > 0 else words.inv(images[-k - 1])
+                           for k in w))
+    return apply
+
+
+# self-overlapping (aba, abab...) and non-primitive ((ab)^2, a^3) words
+# alongside random ones, so equal elements reach the support by
+# different paths
+f2_elements = st.sampled_from(
+    [p(s) for s in ("a", "b'", "ab", "aba", "abab", "aaa", "ab'ab'", "aba'b'")]
+) | st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=6).map(
+    words.reduce).filter(bool)
+f2_maps = st.sampled_from([
+    _endomorphism([p("b"), p("a")]),
+    _endomorphism([p("ab"), p("b")]),
+    _endomorphism([p("aa"), p("b")]),
+    _endomorphism([p("a"), ()]),
+])
+z4_maps = st.sampled_from([lambda x: x, lambda x: Z4.power(x, 2),
+                           lambda x: Z4.inv(x)])
+
+
+@st.composite
+def edge_chains(draw, group, elements, maps):
+    kind = draw(st.sampled_from(["m", "m2", "push"]))
+    g, h = draw(elements), draw(elements)
+    N = draw(st.integers(1, 5))
+    if kind == "m":
+        return m_chain(group, g, N)
+    z = m2_chain(group, g, h, N)
+    return pushforward(draw(maps), z) if kind == "push" else z
+
+
+def _rebuilt(z):
+    return Chain(z.group, z.degree, list(z.support.items()))
+
+
+def _check_results_are_canonical(a, b, q):
+    results = [a + b, a - a, a.scale(q), boundary(a)]
+    for r in results:
+        assert r.support == _rebuilt(r).support
+    assert (a - a).support == {}
+    assert a + b == Chain(a.group, 2, [*a.support.items(), *b.support.items()])
+    assert boundary(boundary(a)).support == {}
+
+
+fractions = st.sampled_from([0, 1, -1]) | st.fractions(max_denominator=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_chains(F2, f2_elements, f2_maps),
+       edge_chains(F2, f2_elements, f2_maps), fractions)
+def test_free_group_arithmetic_keeps_entries_canonical(a, b, q):
+    _check_results_are_canonical(a, b, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(edge_chains(Z4, st.integers(1, 4), z4_maps),
+       edge_chains(Z4, st.integers(1, 4), z4_maps), fractions)
+def test_finite_group_arithmetic_keeps_entries_canonical(a, b, q):
+    _check_results_are_canonical(a, b, q)

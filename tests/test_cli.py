@@ -61,6 +61,17 @@ def test_qm_defect_estimate_prints_a_rational(capsys):
     Fraction(out.strip())  # parses
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["qm", "defect-estimate", "--word", "ab", "--samples", "0"], "--samples"),
+    (["qm", "defect-estimate", "--word", "ab", "--samples", "-3"], "--samples"),
+    (["qm", "defect-estimate", "--word", "ab", "--size", "-1"], "--size"),
+    (["ss", "z4-hs", "--window", "-1"], "--window"),
+])
+def test_meaningless_counts_are_usage_errors(capsys, argv, flag):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == "" and f"qmcoh: {flag} must be >= " in err
+
+
 def test_qm_missing_argument_is_a_usage_error(capsys):
     rc, _, err = run(capsys, "qm", "cocycle", "--word", "ab")
     assert rc == 2 and "--pair" in err
@@ -117,6 +128,13 @@ def test_verify_out_file_matches_stdout(tmp_path, capsys):
     assert target.read_text() == out
 
 
+def test_verify_out_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    rc, _, err = run(capsys, "verify", "--suite", "qm", "--samples", "1",
+                     "--out", str(target))
+    assert rc == 2 and err.startswith("qmcoh: ") and str(target) in err
+
+
 def test_verify_list_shows_every_identity(capsys):
     rc, out, _ = run(capsys, "verify", "--list")
     assert rc == 0
@@ -150,6 +168,13 @@ def test_ss_random_round_trips_through_json(tmp_path, capsys):
     rc2, out2, _ = run(capsys, "ss", str(saved))
     assert rc2 == 0
     assert out1 == out2
+
+
+def test_ss_out_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "complex.json"
+    rc, _, err = run(capsys, "ss", "random", "--seed", "11",
+                     "--out", str(target))
+    assert rc == 2 and err.startswith("qmcoh: ") and str(target) in err
 
 
 def test_ss_missing_file(capsys):

@@ -13,7 +13,6 @@ from qmcoh.groups import (
     compose,
     identity_automorphism,
     inner_automorphism,
-    load_group,
 )
 from qmcoh.words import parse
 
@@ -42,16 +41,6 @@ def test_cyclic_group():
     assert z4.power(2, 5) == 2
     assert z4.element_order(2) == 4
     assert z4.element_order(3) == 2
-
-
-def test_finite_group_json_roundtrip():
-    z4 = FiniteGroup.cyclic(4)
-    again = FiniteGroup.from_json(z4.to_json())
-    assert again.table == z4.table
-    g = load_group(z4.to_json())
-    assert isinstance(g, FiniteGroup) and g.order == 4
-    free = load_group({"free": {"rank": 2}})
-    assert isinstance(free, FreeGroup) and free.rank == 2
 
 
 def test_finite_group_rejects_bad_tables():

@@ -9,7 +9,7 @@ from qmcoh.spectral import (DEFAULT_BUDGET_MB, ENTRY_BYTES_PRIME,
                             complex_to_json, e_infinity_check,
                             hs_double_complex, hs_memory_estimate_mb,
                             hs_row_filtration, lemma3_check,
-                            memory_budget_mb, page, random_filtered_complex,
+                            memory_budget_mb, random_filtered_complex,
                             sequence_report)
 
 CX, FILT, INFO = hs_double_complex(z4_extension())
@@ -111,18 +111,12 @@ def test_trivial_filtration_collapses_to_homology():
         assert engine.dim(2, 0, q) == CX.homology_dim(q)
 
 
-def test_page_preconditions():
-    with pytest.raises(ValueError):
-        page(CX, FILT, 1, -1, 2)
-    with pytest.raises(ValueError):
-        page(CX, FILT, 1, 0, CX.max_degree - 1)
-
-
 def test_page_cell_payload():
-    cell = page(CX, FILT, 2, 0, 1, engine=ENGINE)
-    assert cell.dim == 1
-    assert cell.d_target_dim == ENGINE.dim(2, 2, 0)
-    assert len(cell.d_columns) == cell.dim
+    reps = ENGINE.representatives(2, 0, 1)
+    cols, target_dim = ENGINE.d_data(2, 0, 1)
+    assert len(reps) == 1
+    assert target_dim == ENGINE.dim(2, 2, 0)
+    assert len(cols) == len(reps)
 
 
 def test_double_complex_over_odd_characteristic():
