@@ -18,6 +18,7 @@ and the empty string is the identity.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -64,9 +65,12 @@ def _check_at_least(value: int, least: int, flag: str) -> None:
         raise CliError(f"{flag} must be >= {least}, got {value}")
 
 
-def _write_out(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _out_file(path: str):
+    """The --out file, opened for writing; an I/O error is a usage error."""
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as fh:
+            yield fh
     except OSError as ex:
         raise CliError(
             f"cannot write --out {path}: {ex.strerror or ex}") from ex
@@ -123,7 +127,8 @@ def _cmd_verify(args) -> int:
     text = report_json(report)
     sys.stdout.write(text)
     if args.out:
-        _write_out(args.out, text)
+        with _out_file(args.out) as fh:
+            fh.write(text)
     return 0 if report["passed"] else 1
 
 
@@ -183,8 +188,9 @@ def _cmd_ss(args) -> int:
     report = sequence_report(cx, filt, window=args.window, max_r=args.max_r)
     _print_ss(report)
     if args.out:
-        doc = complex_to_json(cx, filt)
-        _write_out(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        with _out_file(args.out) as fh:
+            json.dump(complex_to_json(cx, filt), fh, indent=2, sort_keys=True)
+            fh.write("\n")
     return 0
 
 

@@ -3,17 +3,22 @@ organized around subspace-lattice work: spans, intersections,
 preimages and quotient coordinates.
 
 Vectors are opaque to callers; every operation goes through a
-``VectorOps`` backend, including the image of a vector under a list of
-columns (``image``). The GF(2) backend stores bit-packed ints (bit i =
+``VectorOps`` backend. The GF(2) backend stores bit-packed ints (bit i =
 coordinate i), which is what makes the larger finite-group complexes
 tractable. The generic backend, for odd primes and Q, stores sparse
 dicts {coordinate: nonzero element}: a differential of the spectral
 sequence complexes has a handful of nonzeros per column, so an add or
 an elimination step costs the support of the vectors, not their width.
-Dense lists appear only at the edges (``from_entries``, ``entries``)
-and in the small coefficient matrices of ``matrix_rank``/``matmul``.
-Subspace bases are plain lists of vectors and never assumed reduced
-unless a function says so.
+
+Coefficients are vectors too. A list of k vectors has a coefficient
+space of width k, with the same representation as the vectors (an int
+over GF(2), a canonical dict otherwise): the echelon returns its combos
+in it, ``relations`` and ``solve_coords`` answer in it, and
+``combine(coeffs, vectors)`` maps it onto the vectors' span. A matrix is
+its list of columns, each a vector of the target space. Dense lists
+appear only at the edges (``from_entries``, ``entries``). Subspace bases
+are plain lists of vectors and never assumed reduced unless a function
+says so.
 """
 
 from __future__ import annotations
@@ -137,9 +142,9 @@ class _Gf2Echelon:
         return v, combo
 
     def reduce(self, v: int):
-        """(residual, coeffs) with v = sum coeffs_i . offered_i + residual."""
-        res, combo = self._reduce(v)
-        return res, [(combo >> i) & 1 for i in range(self.count)]
+        """(residual, coeffs) with v = sum coeffs_i . offered_i + residual;
+        coeffs is a vector of the coefficient space of the offered ones."""
+        return self._reduce(v)
 
     def add(self, v: int) -> bool:
         """Offer a vector; True when it enlarged the span."""
@@ -169,7 +174,7 @@ class _FieldEchelon:
     def _reduce(self, v):
         """Clear pivots from the lowest stored coordinate up, stopping at
         the first coordinate that has no row; combo values are left
-        unreduced mod p."""
+        unreduced mod p and may be zero."""
         p = self.field.p
         rows = self.rows
         v = dict(v)
@@ -195,13 +200,14 @@ class _FieldEchelon:
 
     def reduce(self, v):
         """(residual, coeffs) with v = sum coeffs_i . offered_i + residual;
-        the residual is the zero vector exactly when v is in the span."""
+        the residual is the zero vector exactly when v is in the span, and
+        coeffs is a canonical vector of the offered ones' coefficient
+        space."""
         res, combo = self._reduce(v)
-        zero, p = self.field.zero, self.field.p
-        out = [combo.get(i, zero) for i in range(self.count)]
+        p = self.field.p
         if p:
-            out = [x % p for x in out]
-        return res, out
+            return res, {k: r for k, a in combo.items() if (r := a % p)}
+        return res, {k: a for k, a in combo.items() if a}
 
     def add(self, v) -> bool:
         F = self.field
@@ -262,10 +268,12 @@ class Gf2Ops:
         return v == 0
 
     def combine(self, coeffs, vectors):
+        """sum coeffs_i . vectors_i, for a coefficient vector coeffs."""
         acc = 0
-        for a, v in zip(coeffs, vectors):
-            if int(a) % 2:
-                acc ^= v
+        while coeffs:
+            low = coeffs & -coeffs
+            acc ^= vectors[low.bit_length() - 1]
+            coeffs ^= low
         return acc
 
     def mask(self, indices):
@@ -273,15 +281,6 @@ class Gf2Ops:
         for i in indices:
             m |= 1 << i
         return m
-
-    def image(self, v, cols):
-        """v's image under the map whose i-th column is cols[i]."""
-        acc = 0
-        while v:
-            low = v & -v
-            acc ^= cols[low.bit_length() - 1]
-            v ^= low
-        return acc
 
     def outside(self, v, mask):
         """The part of v supported off the masked coordinates."""
@@ -355,20 +354,15 @@ class FieldOps:
         return not v
 
     def combine(self, coeffs, vectors):
+        """sum coeffs_i . vectors_i, for a coefficient vector coeffs."""
         acc: dict = {}
-        for a, v in zip(coeffs, vectors):
-            if not a:
-                continue
-            for i, x in v.items():
+        for k, a in coeffs.items():
+            for i, x in vectors[k].items():
                 acc[i] = acc.get(i, 0) + a * x
         p = self.field.p
         if p:
             return {i: r for i, s in acc.items() if (r := s % p)}
         return {i: s for i, s in acc.items() if s}
-
-    def image(self, v, cols):
-        """v's image under the map whose i-th column is cols[i]."""
-        return self.combine(v.values(), [cols[i] for i in v])
 
     def mask(self, indices):
         return frozenset(indices)
@@ -405,30 +399,28 @@ def rank_of(ops, vectors) -> int:
 
 
 def relations(ops, vectors):
-    """Basis of {a : sum a_i vectors_i = 0} as coefficient lists."""
-    F = ops.field
+    """Basis of {a : sum a_i vectors_i = 0}, as vectors of the
+    coefficient space of ``vectors``."""
+    cops = vector_ops(ops.field, len(vectors))
     ech = ops.echelon()
     out = []
     for idx, v in enumerate(vectors):
         if not ech.add(v):
             _, coeffs = ech.reduce(v)
-            rel = list(coeffs[:idx]) + [F.neg(F.one)]
-            rel += [F.zero] * (len(vectors) - idx - 1)
-            out.append(rel)
-            # re-offer so later combos keep one slot per input vector
+            out.append(cops.add(coeffs, cops.from_sparse({idx: -1})))
     return out
 
 
 def solve_coords(ops, basis, v):
-    """Coefficients expressing v over basis, or None. The basis must be
-    independent for the answer to be canonical."""
+    """Coefficient vector expressing v over basis, or None. The basis
+    must be independent for the answer to be canonical."""
     ech = ops.echelon()
     for b in basis:
         ech.add(b)
     res, coeffs = ech.reduce(v)
     if not ops.is_zero(res):
         return None
-    return list(coeffs[:len(basis)])
+    return coeffs
 
 
 def in_span(ops, basis, v) -> bool:
@@ -444,16 +436,18 @@ def subspace_sum(ops, *parts):
 
 def intersect(ops, U, V):
     """Basis of span(U) & span(V)."""
-    rels = relations(ops, list(U) + list(V))
-    got = [ops.combine(rel[:len(U)], U) for rel in rels]
-    return span_reduce(ops, got)
+    return span_reduce(
+        ops, [ops.combine(a, U) for a in vectors_into_span(ops, U, V)])
 
 
 def vectors_into_span(ops, vectors, W):
-    """{a : sum a_i vectors_i lands in span W} as coefficient lists."""
-    k = len(vectors)
-    rels = relations(ops, list(vectors) + list(W))
-    return [rel[:k] for rel in rels]
+    """{a : sum a_i vectors_i lands in span W}, as coefficient vectors
+    over ``vectors``."""
+    k, width = len(vectors), len(vectors) + len(W)
+    cops = vector_ops(ops.field, width)
+    tail = cops.mask(range(k, width))
+    return [cops.outside(rel, tail)
+            for rel in relations(ops, list(vectors) + list(W))]
 
 
 def vectors_into_coordspan(ops, vectors, mask):
@@ -472,21 +466,12 @@ def complement_in(ops, D, Z):
 
 
 def matrix_rank(field, columns, height: int) -> int:
-    """Rank of a small coefficient matrix given by columns (lists)."""
-    ops = vector_ops(field, height)
-    return rank_of(ops, [ops.from_entries(col) for col in columns])
+    """Rank of the matrix whose columns are vectors of width ``height``."""
+    return rank_of(vector_ops(field, height), columns)
 
 
 def matmul(field, a_cols, b_cols, height: int):
-    """Columns of A.B when A is given by columns of length ``height``
-    and B by columns of coefficients over A's column count."""
-    out = []
-    for bcol in b_cols:
-        acc = [field.zero] * height
-        for coeff, acol in zip(bcol, a_cols):
-            if coeff == field.zero:
-                continue
-            for i, x in enumerate(acol):
-                acc[i] = field.add(acc[i], field.mul(field.of(coeff), x))
-        out.append(acc)
-    return out
+    """Columns of A.B: A's columns are vectors of width ``height``, and
+    B's are coefficient vectors over A's columns."""
+    ops = vector_ops(field, height)
+    return [ops.combine(b, a_cols) for b in b_cols]

@@ -50,7 +50,11 @@ def memory_budget_mb() -> int:
     raw = os.environ.get("QMCOH_BUDGET_MB")
     if raw is None:
         return DEFAULT_BUDGET_MB
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(
+            f"QMCOH_BUDGET_MB must be an integer, got {raw!r}") from None
 
 
 class FiniteComplex:
@@ -82,7 +86,7 @@ class FiniteComplex:
 
     def apply(self, n: int, v):
         """Image of a degree-n vector under d."""
-        return self.ops[n + 1].image(v, self.diffs[n])
+        return self.ops[n + 1].combine(v, self.diffs[n])
 
     def d_rank(self, n: int) -> int:
         if n < 0 or n >= len(self.diffs):
@@ -309,7 +313,8 @@ class SpectralSequence:
     # ------------------------------------------------------ differentials
 
     def d_data(self, r: int, p: int, q: int):
-        """(columns, target dimension) of d_r out of the cell."""
+        """(columns, target dimension) of d_r out of the cell; a column is
+        a coefficient vector over the target cell's representatives."""
         n = p + q
         if n > self.cx.max_degree - 2:
             raise ValueError("induced differential needs two more degrees")
@@ -325,15 +330,17 @@ class SpectralSequence:
         else:
             tden = self._denominator(r, tp, tq)
             treps = self.representatives(r, tp, tq)
+        k, width = len(treps), len(treps) + len(tden)
+        cops = vector_ops(self.cx.field, width)
+        den = cops.mask(range(k, width))
         cols = []
         for x in reps:
-            y = self.cx.apply(n, x)
-            coords = solve_coords(ops, tden + treps, y)
+            coords = solve_coords(ops, treps + tden, self.cx.apply(n, x))
             if coords is None:
                 raise InvariantViolation(
                     f"d_{r} escaped its target cell at (p={p}, q={q})")
-            cols.append(coords[len(tden):])
-        got = (cols, len(treps))
+            cols.append(cops.outside(coords, den))
+        got = (cols, k)
         self._dmat[key] = got
         return got
 
@@ -341,8 +348,6 @@ class SpectralSequence:
         if p < 0 or q < 0:
             return 0
         cols, height = self.d_data(r, p, q)
-        if height == 0 or not cols:
-            return 0
         return matrix_rank(self.cx.field, cols, height)
 
     def consistency_ok(self, r: int, p: int, q: int) -> bool:
@@ -353,13 +358,10 @@ class SpectralSequence:
         return lhs == self.dim(r, p, q) - out_rank - in_rank
 
     def d_squared_ok(self, r: int, p: int, q: int) -> bool:
-        cols1, h1 = self.d_data(r, p, q)
+        cols1, _ = self.d_data(r, p, q)
         cols2, h2 = self.d_data(r, p + r, q - r + 1)
-        if h1 == 0 or not cols1:
-            return True
-        composed = matmul(self.cx.field, cols2, cols1, h2)
-        zero = self.cx.field.zero
-        return all(all(x == zero for x in col) for col in composed)
+        ops = vector_ops(self.cx.field, h2)
+        return all(map(ops.is_zero, matmul(self.cx.field, cols2, cols1, h2)))
 
     # -------------------------------------------------------- convergence
 
@@ -655,20 +657,16 @@ def random_filtered_complex(seed: int):
     diffs = []
     for n in range(top):
         ops_src = vector_ops(field, dims[n])
+        ops_tgt = vector_ops(field, dims[n + 1])
         src_start = hom[n] + (bnd[n - 1] if n > 0 else 0)
         img_start = hom[n + 1]
-        images = [change[n + 1][img_start + j] for j in range(bnd[n])]
-        cols = []
-        for k in range(dims[n]):
-            normal = solve_coords(ops_src, change[n], ops_src.basis_vector(k))
-            tgt_ops = vector_ops(field, dims[n + 1])
-            acc = tgt_ops.zero_vec
-            for j in range(bnd[n]):
-                c = normal[src_start + j]
-                if c != field.zero:
-                    acc = tgt_ops.add(acc, tgt_ops.scale(c, images[j]))
-            cols.append(acc)
-        diffs.append(cols)
+        # the normal form's d: zero on [h | image], source j -> image j
+        normal_d = ([ops_tgt.zero_vec] * src_start
+                    + change[n + 1][img_start:img_start + bnd[n]])
+        diffs.append([
+            ops_tgt.combine(solve_coords(ops_src, change[n],
+                                         ops_src.basis_vector(k)), normal_d)
+            for k in range(dims[n])])
 
     cx = FiniteComplex(field, dims, diffs, check=True)
     bases = []
@@ -731,7 +729,14 @@ def _encode_entry(field, x):
 
 
 def _decode_entry(field, x):
-    return field.of(Fraction(x)) if field.p is None else field.of(x)
+    """An exact entry: a JSON integer, or over Q also a fraction string."""
+    exact = int if field.p else (int, str)
+    if isinstance(x, bool) or not isinstance(x, exact):
+        raise ValueError(f"entry {x!r} is not exact over {field_name(field)}")
+    try:
+        return field.of(Fraction(x))
+    except ZeroDivisionError:
+        raise ValueError(f"entry {x!r} divides by zero") from None
 
 
 def complex_to_json(cx: FiniteComplex, filt: Filtration | None = None) -> dict:

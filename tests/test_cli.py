@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import qmcoh.cli
 from qmcoh.cli import main
+from qmcoh.spectral import complex_to_json, random_filtered_complex
 from qmcoh.words import parse
 
 
@@ -177,6 +179,25 @@ def test_ss_out_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys):
     assert rc == 2 and err.startswith("qmcoh: ") and str(target) in err
 
 
+def test_ss_out_is_opened_before_the_dump_is_built(tmp_path, capsys,
+                                                  monkeypatch):
+    def no_dump(*args):
+        raise AssertionError("the dump was built for an unwritable path")
+    monkeypatch.setattr(qmcoh.cli, "complex_to_json", no_dump)
+    target = tmp_path / "missing" / "complex.json"
+    rc, _, err = run(capsys, "ss", "random", "--seed", "11",
+                     "--out", str(target))
+    assert rc == 2 and f"cannot write --out {target}" in err
+
+
+def test_ss_out_writes_the_indented_dump(tmp_path, capsys):
+    target = tmp_path / "complex.json"
+    rc, _, _ = run(capsys, "ss", "random", "--seed", "3", "--out", str(target))
+    cx, filt, _hom = random_filtered_complex(3)
+    want = json.dumps(complex_to_json(cx, filt), indent=2, sort_keys=True)
+    assert rc == 0 and target.read_text() == want + "\n"
+
+
 def test_ss_missing_file(capsys):
     rc, _, err = run(capsys, "ss", "no-such-file.json")
     assert rc == 2 and "no such fixture or file" in err
@@ -186,6 +207,14 @@ def test_ss_respects_the_memory_budget(monkeypatch, capsys):
     monkeypatch.setenv("QMCOH_BUDGET_MB", "0")
     rc, _, err = run(capsys, "ss", "z4-hs")
     assert rc == 2 and "QMCOH_BUDGET_MB" in err
+
+
+@pytest.mark.parametrize("raw", ["lots", "1.5", ""])
+def test_ss_budget_must_be_an_integer(monkeypatch, capsys, raw):
+    monkeypatch.setenv("QMCOH_BUDGET_MB", raw)
+    rc, out, err = run(capsys, "ss", "z4-hs")
+    assert rc == 2 and out == ""
+    assert f"QMCOH_BUDGET_MB must be an integer, got {raw!r}" in err
 
 
 def test_ss_rejects_negative_max_r(capsys):
@@ -205,3 +234,29 @@ def test_ss_malformed_json_is_a_usage_error(tmp_path, capsys, doc, why):
     rc, out, err = run(capsys, "ss", str(path))
     assert rc == 2 and out == ""
     assert "is not a complex document" in err and why in err
+
+
+def _one_entry(field, entry):
+    """A two-term complex whose one differential entry is ``entry``."""
+    return {"field": field, "dims": [1, 1], "differentials": [[[entry]]]}
+
+
+@pytest.mark.parametrize("doc, why", [
+    (_one_entry("F3", 1.5), "entry 1.5 is not exact over F3"),
+    (_one_entry("F2", 0.5), "entry 0.5 is not exact over F2"),
+    (_one_entry("F2", 2.0), "entry 2.0 is not exact over F2"),
+    (_one_entry("F3", "1"), "entry '1' is not exact over F3"),
+    (_one_entry("F5", True), "entry True is not exact over F5"),
+    (_one_entry("Q", 0.5), "entry 0.5 is not exact over Q"),
+    (_one_entry("Q", False), "entry False is not exact over Q"),
+    (_one_entry("Q", "1/0"), "entry '1/0' divides by zero"),
+    ({**_one_entry("F3", 1), "filtration": [[[[1]]], [[[0.5]]]]},
+     "entry 0.5 is not exact over F3"),
+])
+def test_ss_json_entries_must_be_exact(tmp_path, capsys, doc, why):
+    path = tmp_path / "inexact.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "ss", str(path))
+    assert rc == 2 and out == ""
+    assert "is not a complex document" in err and why in err
+

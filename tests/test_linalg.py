@@ -18,8 +18,10 @@ def vecs(ops, rows):
 
 # ------------------------------------------- dense reference backend
 # The generic-field backend as it was before it became sparse: tuple
-# vectors and one field-method call per entry. The sparse FieldOps must
-# give the same answers.
+# vectors and one field-method call per entry. It speaks the same
+# coefficient protocol: combos come out, and ``combine`` takes them, as
+# canonical {index: nonzero} dicts. The sparse FieldOps must give the
+# same answers.
 
 
 class DenseEchelon:
@@ -56,8 +58,8 @@ class DenseEchelon:
 
     def reduce(self, v):
         res, combo, _lead = self._reduce(v)
-        return tuple(res), [combo.get(i, self.field.zero)
-                            for i in range(self.count)]
+        zero = self.field.zero
+        return tuple(res), {k: a for k, a in combo.items() if a != zero}
 
     def add(self, v) -> bool:
         F = self.field
@@ -96,10 +98,8 @@ class DenseOps:
     def combine(self, coeffs, vectors):
         acc = list(self.zero_vec)
         F = self.field
-        for a, v in zip(coeffs, vectors):
-            if a == F.zero:
-                continue
-            for i, x in enumerate(v):
+        for k, a in coeffs.items():
+            for i, x in enumerate(vectors[k]):
                 acc[i] = F.add(acc[i], F.mul(a, x))
         return tuple(acc)
 
@@ -112,6 +112,21 @@ class DenseOps:
 
     def echelon(self):
         return DenseEchelon(self.field)
+
+
+def dense_matmul(field, a_cols, b_cols, height: int):
+    """The dense-list product ``matmul`` used to be: A by columns of
+    length ``height``, B by columns of coefficients over A's columns."""
+    out = []
+    for bcol in b_cols:
+        acc = [field.zero] * height
+        for coeff, acol in zip(bcol, a_cols):
+            if coeff == field.zero:
+                continue
+            for i, x in enumerate(acol):
+                acc[i] = field.add(acc[i], field.mul(field.of(coeff), x))
+        out.append(acc)
+    return out
 
 
 @st.composite
@@ -172,7 +187,9 @@ def test_sparse_vectors_are_canonical(name):
     assert ops.add(v, ops.scale(-1, v)) == ops.zero_vec == {}
     assert ops.scale(0, v) == {}
     assert ops.outside(v, ops.mask(range(3))) == {}
-    assert ops.combine([1, -1], [v, v]) == {}
+    cops = vector_ops(FIELDS[name], 2)
+    assert ops.combine(cops.from_entries([1, -1]), [v, v]) == {}
+    assert ops.combine(cops.zero_vec, [v, v]) == {}
     assert ops.from_sparse({0: 0, 2: ops.field.p or 0}) == {}
     assert ops.entries(ops.zero_vec) == [0, 0, 0]
     with pytest.raises(IndexError):
@@ -189,20 +206,22 @@ def test_sparse_ops_leave_their_arguments_alone(name):
     u = ops.from_entries([1, 0, 2, 1])
     v = ops.from_entries([2, 1, 1, 0])
     cols = [ops.basis_vector(i) for i in range(4)]
-    args = (u, v, cols)
+    cops = vector_ops(FIELDS[name], 2)
+    one, both = cops.from_entries([1]), cops.from_entries([1, 1])
+    args = (u, v, cols, one, both)
     before = copy.deepcopy(args)
     results = [ops.add(u, v), ops.add(u, ops.zero_vec),
                ops.add(ops.zero_vec, v), ops.scale(1, u), ops.scale(2, u),
-               ops.combine([1], [u]), ops.combine([1, 1], [u, v]),
-               ops.outside(u, ops.mask([3])), ops.image(u, cols),
-               ops.image(ops.zero_vec, cols)]
+               ops.combine(one, [u]), ops.combine(both, [u, v]),
+               ops.outside(u, ops.mask([3])), ops.combine(u, cols),
+               ops.combine(ops.zero_vec, cols)]
     ech = ops.echelon()
     for w in (u, v, u, ops.zero_vec):
         ech.add(w)
-        ech.reduce(w)
+        results.append(ech.reduce(w)[1])
     for got in results:
         got[0] = ops.field.one  # results are fresh dicts
-    assert (u, v, cols) == before
+    assert (u, v, cols, one, both) == before
     assert ops.zero_vec == {}
 
 
@@ -231,9 +250,13 @@ def test_relations_recombine_to_zero():
         field = FIELDS[name]
         ops = vector_ops(field, 4)
         u = vecs(ops, [[1, 2, 0, 1], [0, 1, 1, 1], [1, 3, 1, 2], [2, 4, 0, 2]])
+        cops = vector_ops(field, len(u))
         rels = relations(ops, u)
         assert rels, name
         for rel in rels:
+            # a canonical, nonzero vector of u's coefficient space
+            assert rel == cops.from_entries(cops.entries(rel)), name
+            assert not cops.is_zero(rel), name
             assert ops.is_zero(ops.combine(rel, u)), name
 
 
@@ -244,10 +267,11 @@ def test_solve_coords_roundtrip():
         ops = vector_ops(field, 5)
         basis = span_reduce(ops, vecs(
             ops, [[rng.randrange(5) for _ in range(5)] for _ in range(3)]))
-        coeffs = [field.of(rng.randrange(1, 4)) for _ in basis]
+        cops = vector_ops(field, len(basis))
+        coeffs = cops.from_entries([rng.randrange(1, 4) for _ in basis])
         v = ops.combine(coeffs, basis)
         got = solve_coords(ops, basis, v)
-        assert got is not None
+        assert got == coeffs  # the basis is independent
         assert ops.combine(got, basis) == v
 
 
@@ -286,6 +310,9 @@ def test_vectors_into_span_is_the_full_preimage():
     u = vecs(ops, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
     w = vecs(ops, [[1, 1, 0, 0]])
     coeff_rows = vectors_into_span(ops, u, w)
+    cops = vector_ops(GF2, len(u))
+    for row in coeff_rows:  # truncated to u's coefficient space
+        assert cops.outside(row, cops.mask(range(len(u)))) == cops.zero_vec
     got = span_reduce(ops, [ops.combine(row, u) for row in coeff_rows])
     assert len(got) == 1
     assert in_span(ops, w, got[0])
@@ -293,16 +320,21 @@ def test_vectors_into_span_is_the_full_preimage():
 
 def test_vectors_into_coordspan_matches_generic():
     rng = random.Random(3)
-    ops = vector_ops(GF2, 6)
-    mask = ops.mask([0, 1, 2])
-    w = [ops.basis_vector(i) for i in (0, 1, 2)]
-    u = [ops.from_entries([rng.randrange(2) for _ in range(6)])
-         for _ in range(5)]
-    via_mask = span_reduce(
-        ops, [ops.combine(r, u) for r in vectors_into_coordspan(ops, u, mask)])
-    via_span = span_reduce(
-        ops, [ops.combine(r, u) for r in vectors_into_span(ops, u, w)])
-    assert rank_of(ops, via_mask + via_span) == len(via_mask) == len(via_span)
+    for name in ("F2", "F3", "Q"):
+        ops = vector_ops(FIELDS[name], 6)
+        mask = ops.mask([0, 1, 2])
+        w = [ops.basis_vector(i) for i in (0, 1, 2)]
+        u = [ops.from_entries([rng.randrange(3) for _ in range(6)])
+             for _ in range(5)]
+        by_mask = vectors_into_coordspan(ops, u, mask)
+        by_span = vectors_into_span(ops, u, w)
+        cops = vector_ops(ops.field, len(u))
+        assert rank_of(cops, by_mask + by_span) == len(by_mask) \
+            == len(by_span), name
+        via_mask = span_reduce(ops, [ops.combine(r, u) for r in by_mask])
+        via_span = span_reduce(ops, [ops.combine(r, u) for r in by_span])
+        assert rank_of(ops, via_mask + via_span) == len(via_mask) \
+            == len(via_span), name
 
 
 def test_complement_extends_basis():
@@ -316,11 +348,52 @@ def test_complement_extends_basis():
 
 def test_matmul_and_rank():
     f = FIELDS["F3"]
-    a_cols = [[1, 0], [1, 1]]  # columns of [[1,1],[0,1]]
-    b_cols = [[1, 1], [0, 2]]
+    ops = vector_ops(f, 2)
+    a_cols = vecs(ops, [[1, 0], [1, 1]])  # columns of [[1,1],[0,1]]
+    b_cols = vecs(ops, [[1, 1], [0, 2]])  # coefficients over a_cols
     prod = matmul(f, a_cols, b_cols, 2)
-    assert prod == [[2, 1], [2, 2]]
+    assert [ops.entries(c) for c in prod] == [[2, 1], [2, 2]]
     assert matrix_rank(f, prod, 2) == 2
+
+
+@st.composite
+def matrix_problems(draw):
+    """A field, a height in 0..5, the columns of A (0..5 of them) and
+    those of B over A's columns, zero columns included."""
+    name = draw(st.sampled_from(["F2", "F3", "F5", "Q"]))
+    height = draw(st.integers(0, 5))
+    inner = draw(st.integers(0, 5))
+    if name == "Q":
+        elt = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    else:
+        elt = st.integers(-6, 6)
+
+    def cols(length, count):
+        col = st.lists(st.just(0) | elt, min_size=length, max_size=length)
+        return st.lists(col | st.just([0] * length), min_size=count,
+                        max_size=count)
+    a = draw(cols(height, inner))
+    b = draw(cols(inner, draw(st.integers(0, 5))))
+    return FIELDS[name], height, a, b
+
+
+@given(matrix_problems())
+@example((GF2, 0, [[], []], [[1, 1], [0, 0]]))
+@example((GF2, 2, [[1, 1], [1, 1]], [[1, 1], [1, 0]]))
+@example((FIELDS["F3"], 2, [[0, 0], [1, 2]], [[0, 0], [3, 1], [0, 4]]))
+@example((QQ, 3, [], [[], []]))
+@settings(max_examples=300)
+def test_matmul_and_rank_match_the_dense_product(problem):
+    field, height, a_rows, b_rows = problem
+    ops, cops = vector_ops(field, height), vector_ops(field, len(a_rows))
+    dense = DenseOps(field, height)
+    want = dense_matmul(field, [list(dense.from_entries(c)) for c in a_rows],
+                        b_rows, height)
+    got = matmul(field, vecs(ops, a_rows), vecs(cops, b_rows), height)
+    assert [ops.entries(c) for c in got] == want
+    assert matrix_rank(field, got, height) == rank_of(dense, vecs(dense, want))
+    assert matrix_rank(field, vecs(ops, a_rows), height) == \
+        rank_of(dense, vecs(dense, a_rows))
 
 
 def test_outside_masks():
