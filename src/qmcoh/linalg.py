@@ -230,6 +230,12 @@ class _FieldEchelon:
         return True
 
 
+def _check_width(entries, width: int):
+    if len(entries) > width:
+        raise IndexError(
+            f"{len(entries)} entries for a vector of width {width}")
+
+
 class Gf2Ops:
     """Bit-packed vectors over GF(2)."""
 
@@ -239,6 +245,7 @@ class Gf2Ops:
         self.zero_vec = 0
 
     def from_entries(self, entries):
+        _check_width(entries, self.width)
         v = 0
         for i, x in enumerate(entries):
             if int(x) % 2:
@@ -311,9 +318,7 @@ class FieldOps:
         return {i: y for i, y in ((i, of(x)) for i, x in items) if y}
 
     def from_entries(self, entries):
-        if len(entries) > self.width:
-            raise IndexError(
-                f"{len(entries)} entries for a vector of width {self.width}")
+        _check_width(entries, self.width)
         return self._canonical(enumerate(entries))
 
     def entries(self, v):

@@ -2,10 +2,13 @@
 sequences they generate.
 
 A ``FiniteComplex`` is a finite tower of based vector spaces with
-differentials given column-wise; a ``Filtration`` is a decreasing,
+differentials given column-wise. A ``Filtration`` is a decreasing,
 differential-stable chain of subspaces in every degree, with ``F^0``
-the whole space and ``F^p = 0`` beyond the regularity bound ``u(n)``.
-Pages are computed from the classical cycle/boundary lattice
+the whole space and ``F^p = 0`` beyond the regularity bound ``u(n)``,
+given as one level per coordinate, so that every lattice step below is
+a mask projection. A filtration given by spanning vectors (random
+complexes, JSON input) is rewritten in an adapted basis, once, by
+``adapt_filtration``. Pages come from the classical lattice
 
     Z_r = F^p  meet  d^{-1}(F^{p+r}),
     B_r = F^p  meet  d(F^{p-r}),
@@ -18,8 +21,8 @@ point anywhere below.
 The double complex of a finite group extension is instantiated with
 trivial one-dimensional coefficients: horizontal cochains on the
 quotient, vertical cochains built from orbit functions on tuples over
-the ambient group. Its vertical (column) filtration is by coordinate
-blocks, which the page computations exploit through masks.
+the ambient group. Its vertical (column) filtration gives block
+(p, q) level p.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .errors import BudgetExceeded, InvariantViolation
 from .groups import FiniteGroup
 from .linalg import (FIELDS, GF2, complement_in, field_name, matmul,
                      matrix_rank, rank_of, solve_coords, span_reduce,
-                     vector_ops, vectors_into_coordspan, vectors_into_span)
+                     vector_ops, vectors_into_coordspan)
 
 DEFAULT_BUDGET_MB = 256
 DEFAULT_WINDOW = 3
@@ -55,6 +58,10 @@ def memory_budget_mb() -> int:
     except ValueError:
         raise ValueError(
             f"QMCOH_BUDGET_MB must be an integer, got {raw!r}") from None
+
+
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
 class FiniteComplex:
@@ -104,51 +111,33 @@ class FiniteComplex:
 
 
 class Filtration:
-    """Decreasing subspace chain per degree. ``bases[n][p]`` lists the
-    vectors spanning F^p K^n; a truncated list means zero beyond. When
-    every level is spanned by standard basis vectors, ``masks`` carries
-    the coordinate supports and membership tests become projections."""
+    """``levels[n][i]`` is the largest p with basis vector i of degree n
+    in F^p K^n. So F^p K^n is spanned by the coordinates of level at
+    least p, a mask, and vanishes beyond ``u[n] = max(levels[n])``; no
+    basis is stored."""
 
-    def __init__(self, cx: FiniteComplex, bases, masks=None,
-                 check: bool = True):
-        if len(bases) != len(cx.dims):
-            raise ValueError("one level chain per degree required")
+    def __init__(self, cx: FiniteComplex, levels, check: bool = True):
+        if len(levels) != len(cx.dims):
+            raise ValueError("one level list per degree required")
         self.cx = cx
-        self.bases = [list(map(list, chain)) for chain in bases]
-        self.masks = masks
-        self.u = []
-        for n, chain in enumerate(self.bases):
-            top = 0
-            for p, basis in enumerate(chain):
-                if basis:
-                    top = p
-            self.u.append(top)
-        self._membership: dict = {}
+        self.levels = [list(lv) for lv in levels]
+        self._masks: dict = {}
         if check:
             self._validate()
+        self.u = [max(lv, default=0) for lv in self.levels]
 
     def _validate(self):
         cx = self.cx
-        for n, chain in enumerate(self.bases):
-            ops = cx.ops[n]
-            if rank_of(ops, chain[0] if chain else []) != cx.dims[n]:
-                raise InvariantViolation(f"F^0 does not span degree {n}")
-            for p in range(len(chain) - 1):
-                ech = ops.echelon()
-                for v in chain[p]:
-                    ech.add(v)
-                before = ech.rank
-                for v in chain[p + 1]:
-                    if ech.add(v):
-                        raise InvariantViolation(
-                            f"F^{p + 1} not inside F^{p} at degree {n}")
-                assert ech.rank == before
-        for n in range(len(self.bases) - 1):
-            for p in range(self.u[n] + 1):
-                for v in self.space(p, n):
-                    if not self.contains(p, n + 1, cx.apply(n, v)):
-                        raise InvariantViolation(
-                            f"d leaves F^{p} at degree {n}")
+        for n, lv in enumerate(self.levels):
+            if len(lv) != cx.dims[n] or not all(map(_is_count, lv)):
+                raise ValueError(f"degree {n} needs {cx.dims[n]} levels, "
+                                 f"each a non-negative integer: {lv!r}")
+        # F^p is spanned by coordinates of level >= p, so d keeps every
+        # level exactly when each column stays in its own source level
+        for n, cols in enumerate(cx.diffs):
+            for col, p in zip(cols, self.levels[n]):
+                if not self.contains(p, n + 1, col):
+                    raise InvariantViolation(f"d leaves F^{p} at degree {n}")
 
     def level_bound(self, n: int) -> int:
         """Regularity bound: F^p vanishes in degree n beyond this."""
@@ -156,60 +145,69 @@ class Filtration:
             return 0
         return self.u[n]
 
+    def coordinates(self, p: int, n: int):
+        """The coordinates spanning F^p K^n, ascending."""
+        return [i for i, lv in enumerate(self.levels[n]) if lv >= p]
+
     def space(self, p: int, n: int):
-        if n < 0 or n >= len(self.bases):
-            return []
-        chain = self.bases[n]
-        p = max(p, 0)
-        if p >= len(chain):
-            return []
-        return chain[p]
+        """Unit vectors spanning F^p K^n, built on each call."""
+        ops = self.cx.ops[n]
+        return [ops.basis_vector(i) for i in self.coordinates(p, n)]
 
     def mask_at(self, p: int, n: int):
-        """Coordinate support of F^p K^n, or None when not coordinate."""
-        if self.masks is None or n < 0 or n >= len(self.masks):
-            return None
-        chain = self.masks[n]
-        p = max(p, 0)
-        if p >= len(chain):
-            return self.cx.ops[n].mask([])
-        return chain[p]
+        """Coordinate support of F^p K^n."""
+        key = (p, n)
+        if key not in self._masks:
+            self._masks[key] = self.cx.ops[n].mask(self.coordinates(p, n))
+        return self._masks[key]
 
     def contains(self, p: int, n: int, v) -> bool:
         ops = self.cx.ops[n]
-        if p <= 0:
-            return True
-        mask = self.mask_at(p, n)
-        if mask is not None:
-            return ops.is_zero(ops.outside(v, mask))
-        key = (p, n)
-        ech = self._membership.get(key)
-        if ech is None:
-            ech = ops.echelon()
-            for b in self.space(p, n):
-                ech.add(b)
-            self._membership[key] = ech
-        res, _ = ech.reduce(v)
-        return ops.is_zero(res)
-
-    @classmethod
-    def from_coordinates(cls, cx: FiniteComplex, index_sets,
-                         check: bool = True) -> "Filtration":
-        """Levels spanned by standard basis vectors; ``index_sets[n][p]``
-        lists the coordinates of F^p K^n."""
-        bases = []
-        masks = []
-        for n, chain in enumerate(index_sets):
-            ops = cx.ops[n]
-            bases.append([[ops.basis_vector(i) for i in idx] for idx in chain])
-            masks.append([ops.mask(idx) for idx in chain])
-        return cls(cx, bases, masks=masks, check=check)
+        return ops.is_zero(ops.outside(v, self.mask_at(p, n)))
 
     @classmethod
     def trivial(cls, cx: FiniteComplex) -> "Filtration":
         """F^0 = everything, F^1 = 0 in every degree."""
-        return cls.from_coordinates(
-            cx, [[range(d)] for d in cx.dims], check=False)
+        return cls(cx, [[0] * d for d in cx.dims], check=False)
+
+
+def adapt_filtration(cx: FiniteComplex, bases):
+    """(complex, ``Filtration``) isomorphic as a filtered complex to cx
+    filtered by ``bases[n][p]``, vectors spanning F^p K^n (a shorter
+    chain means zero beyond). Per degree, one echelon runs from the top
+    level down; the vectors of ``bases[n][p]`` that enlarge it get level
+    p and, ordered by ascending level, form the adapted basis in which
+    the complex is rewritten. Raises ``InvariantViolation`` when F^0
+    does not span, a level is not inside the one below it (told by its
+    own rank), or d leaves a level."""
+    if len(bases) != len(cx.dims):
+        raise ValueError("one level chain per degree required")
+    adapted, levels = [], []
+    for n, chain in enumerate(bases):
+        ops = cx.ops[n]
+        ech = ops.echelon()
+        picked = []  # (level, vector), top level first
+        for p in reversed(range(len(chain))):
+            picked += [(p, v) for v in chain[p] if ech.add(v)]
+            # the echelon now spans F^p + F^{p+1}, which is F^p exactly
+            # when F^{p+1} lies inside it
+            if ech.rank != rank_of(ops, chain[p]):
+                raise InvariantViolation(
+                    f"F^{p + 1} not inside F^{p} at degree {n}")
+        if ech.rank != cx.dims[n]:
+            raise InvariantViolation(f"F^0 does not span degree {n}")
+        picked.sort(key=lambda pv: pv[0])
+        levels.append([p for p, _ in picked])
+        adapted.append([v for _, v in picked])
+    diffs = []
+    for n in range(cx.max_degree):
+        target = cx.ops[n + 1].echelon()
+        for b in adapted[n + 1]:
+            target.add(b)
+        diffs.append([target.reduce(cx.apply(n, b))[1] for b in adapted[n]])
+    # a change of basis keeps d.d = 0, which cx has already passed
+    new = FiniteComplex(cx.field, cx.dims, diffs, check=False)
+    return new, Filtration(new, levels, check=True)
 
 
 class SpectralSequence:
@@ -222,7 +220,6 @@ class SpectralSequence:
             raise ValueError("filtration belongs to a different complex")
         self.cx = cx
         self.filt = filt
-        self._images: dict = {}
         self._z: dict = {}
         self._b: dict = {}
         self._den: dict = {}
@@ -232,33 +229,29 @@ class SpectralSequence:
     # ----------------------------------------------------------- lattice
 
     def _image_list(self, level: int, n: int):
-        key = (level, n)
-        if key not in self._images:
-            self._images[key] = [self.cx.apply(n, v)
-                                 for v in self.filt.space(level, n)]
-        return self._images[key]
+        """d of the coordinates of F^level K^n: columns of ``cx.diffs[n]``."""
+        cols = self.cx.diffs[n]
+        return [cols[i] for i in self.filt.coordinates(level, n)]
 
     def cycles(self, r: int, p: int, q: int):
         """Z_r^{p,q}: vectors of F^p whose differential lies r deeper."""
         n = p + q
         if n < 0 or n > self.cx.max_degree:
             return []
-        base = self.filt.space(p, n)
-        if r <= 0 or not base:
-            return list(base)
-        if n == self.cx.max_degree:
-            raise ValueError("cycle condition needs the next differential")
+        if r <= 0:
+            return self.filt.space(p, n)
         level = min(p + r, self.filt.level_bound(n + 1) + 1)
         key = (p, q, level)
         if key in self._z:
             return self._z[key]
-        ops = self.cx.ops[n + 1]
-        images = self._image_list(max(p, 0), n)
-        mask = self.filt.mask_at(level, n + 1)
-        if mask is not None:
-            rows = vectors_into_coordspan(ops, images, mask)
-        else:
-            rows = vectors_into_span(ops, images, self.filt.space(level, n + 1))
+        base = self.filt.space(p, n)
+        if not base:
+            return base
+        if n == self.cx.max_degree:
+            raise ValueError("cycle condition needs the next differential")
+        rows = vectors_into_coordspan(self.cx.ops[n + 1],
+                                      self._image_list(p, n),
+                                      self.filt.mask_at(level, n + 1))
         src = self.cx.ops[n]
         got = span_reduce(src, [src.combine(row, base) for row in rows])
         self._z[key] = got
@@ -278,11 +271,7 @@ class SpectralSequence:
         if p <= 0:
             got = span_reduce(ops, images)
         else:
-            mask = self.filt.mask_at(p, n)
-            if mask is not None:
-                rows = vectors_into_coordspan(ops, images, mask)
-            else:
-                rows = vectors_into_span(ops, images, self.filt.space(p, n))
+            rows = vectors_into_coordspan(ops, images, self.filt.mask_at(p, n))
             got = span_reduce(ops, [ops.combine(row, images) for row in rows])
         self._b[key] = got
         return got
@@ -592,35 +581,27 @@ def hs_double_complex(ext, field=GF2, max_total: int = 5):
         diffs.append(cols)
 
     cx = FiniteComplex(field, dims, diffs, check=True)
-    index_sets = [[range(offsets[n][p], dims[n]) for p in range(n + 1)]
-                  for n in range(max_total + 1)]
-    filt = Filtration.from_coordinates(cx, index_sets, check=True)
-    info = {"blocks": blocks, "orbit_counts": {t: len(orbits[t])
-                                               for t in orbits},
-            "offsets": [dict(offs) for offs in offsets],
-            "dims": list(dims)}
-    return cx, filt, info
+    # column filtration: block (p, q) has level p
+    levels = [[p for p in range(n + 1) for _ in range(blocks[(p, n - p)])]
+              for n in range(max_total + 1)]
+    filt = Filtration(cx, levels, check=True)
+    return cx, filt, {"blocks": blocks}
 
 
 def hs_row_filtration(cx: FiniteComplex, info: dict) -> Filtration:
-    """Filtration of the same total complex by the fiber degree. Blocks
-    are laid out with the quotient degree increasing, so each level is a
-    coordinate prefix."""
-    index_sets = []
-    for n, offs in enumerate(info["offsets"]):
-        chain = []
-        for level in range(n + 1):
-            cut = n - level + 1
-            end = offs[cut] if cut in offs else cx.dims[n]
-            chain.append(range(0, end))
-        index_sets.append(chain)
-    return Filtration.from_coordinates(cx, index_sets, check=True)
+    """Filtration of the same total complex by the fiber degree: block
+    (p, q) has level q."""
+    blocks = info["blocks"]
+    levels = [[n - p for p in range(n + 1) for _ in range(blocks[(p, n - p)])]
+              for n in range(len(cx.dims))]
+    return Filtration(cx, levels, check=True)
 
 
 def random_filtered_complex(seed: int):
     """Seeded filtered complex with known homology: a normal form with
     prescribed ranks, conjugated degreewise by random invertible maps,
-    filtered by levels that the differential never decreases. Returns
+    filtered by levels that the differential never decreases, given to
+    ``adapt_filtration`` as bases mixed within the levels. Returns
     (complex, filtration, homology dims)."""
     rng = random.Random(f"filtered-complex:{seed}")
     field = (GF2, FIELDS["F3"], FIELDS["F5"], FIELDS["Q"])[seed % 4]
@@ -642,8 +623,6 @@ def random_filtered_complex(seed: int):
         levels.append(lv)
 
     def random_invertible(dim, ops):
-        if dim == 0:
-            return []
         while True:
             cols = [ops.from_entries([rng.randrange(field.p or 5)
                                       for _ in range(dim)])
@@ -669,16 +648,19 @@ def random_filtered_complex(seed: int):
             for k in range(dims[n])])
 
     cx = FiniteComplex(field, dims, diffs, check=True)
+    # vector k of each F^p basis also takes random multiples of the later
+    # change vectors of no lower level: a triangular map that keeps every
+    # F^p, so the adapted basis, and with it each column, stays mixed
     bases = []
-    for n in range(top + 1):
-        chain = []
-        for p in range(max(levels[n], default=0) + 1 if levels[n] else 1):
-            chain.append([change[n][k] for k in range(dims[n])
-                          if levels[n][k] >= p])
-        if not chain:
-            chain = [[]]
-        bases.append(chain)
-    filt = Filtration(cx, bases, check=True)
+    for n, lv in enumerate(levels):
+        ops = vector_ops(field, dims[n])
+        mixed = [ops.combine(ops.from_sparse(
+            {k: 1, **{j: rng.randrange(field.p or 5)
+                      for j in range(k + 1, dims[n]) if lv[j] >= lv[k]}}),
+            change[n]) for k in range(dims[n])]
+        bases.append([[v for v, level in zip(mixed, lv) if level >= p]
+                      for p in range(max(lv, default=0) + 1)])
+    cx, filt = adapt_filtration(cx, bases)
     return cx, filt, hom
 
 
@@ -740,6 +722,8 @@ def _decode_entry(field, x):
 
 
 def complex_to_json(cx: FiniteComplex, filt: Filtration | None = None) -> dict:
+    """Dense JSON form; ``filtration[n][p]`` lists the unit vectors of
+    F^p, so ``complex_from_json`` reads the same columns and levels."""
     doc = {
         "field": field_name(cx.field),
         "dims": list(cx.dims),
@@ -751,13 +735,15 @@ def complex_to_json(cx: FiniteComplex, filt: Filtration | None = None) -> dict:
     if filt is not None:
         doc["filtration"] = [
             [[[_encode_entry(cx.field, e) for e in cx.ops[n].entries(v)]
-              for v in basis]
-             for basis in chain]
-            for n, chain in enumerate(filt.bases)]
+              for v in filt.space(p, n)]
+             for p in range(filt.level_bound(n) + 1)]
+            for n in range(len(cx.dims))]
     return doc
 
 
 def complex_from_json(doc: dict):
+    """(complex, filtration or None); with a ``"filtration"`` (a chain of
+    bases per degree) the complex comes back in its adapted basis."""
     if not isinstance(doc, dict):
         raise ValueError("the document must be a JSON object")
     missing = [k for k in ("field", "dims", "differentials") if k not in doc]
@@ -769,7 +755,12 @@ def complex_from_json(doc: dict):
             f"unknown field {doc['field']!r}; expected one of"
             f" {', '.join(FIELDS)}"
         )
-    dims = list(doc["dims"])
+    dims = doc["dims"]
+    if not isinstance(dims, list):
+        raise ValueError(f"dims {dims!r} is not a list")
+    for d in dims:
+        if not _is_count(d):
+            raise ValueError(f"dims entry {d!r} is not a non-negative integer")
     all_ops = [vector_ops(field, d) for d in dims]
     diffs = [
         [all_ops[n + 1].from_entries([_decode_entry(field, e) for e in col])
@@ -778,10 +769,13 @@ def complex_from_json(doc: dict):
     cx = FiniteComplex(field, dims, diffs, check=True)
     filt = None
     if "filtration" in doc:
+        if len(doc["filtration"]) != len(dims):
+            raise ValueError(f"filtration has {len(doc['filtration'])} "
+                             f"chains for {len(dims)} degrees")
         bases = [
             [[all_ops[n].from_entries([_decode_entry(field, e) for e in vec])
               for vec in basis]
              for basis in chain]
             for n, chain in enumerate(doc["filtration"])]
-        filt = Filtration(cx, bases, check=True)
+        cx, filt = adapt_filtration(cx, bases)
     return cx, filt

@@ -227,6 +227,17 @@ def test_ss_rejects_negative_max_r(capsys):
     ({"field": "F4", "dims": [1], "differentials": []}, "unknown field 'F4'"),
     ([1, 2], "JSON object"),
     ({"field": ["F2"], "dims": [1], "differentials": []}, "unhashable"),
+    ({"field": "F3", "dims": ["a"], "differentials": []},
+     "dims entry 'a' is not a non-negative integer"),
+    ({"field": "F3", "dims": [1.5], "differentials": []},
+     "dims entry 1.5 is not a non-negative integer"),
+    ({"field": "F2", "dims": [True, True], "differentials": [[[1]]]},
+     "dims entry True is not a non-negative integer"),
+    ({"field": "Q", "dims": [-1], "differentials": []},
+     "dims entry -1 is not a non-negative integer"),
+    ({"field": "Q", "dims": 2, "differentials": []}, "dims 2 is not a list"),
+    ({"field": "F3", "dims": [1, 1], "differentials": [[[1]]],
+      "filtration": [[[[1]]]]}, "filtration has 1 chains for 2 degrees"),
 ])
 def test_ss_malformed_json_is_a_usage_error(tmp_path, capsys, doc, why):
     path = tmp_path / "bad.json"
@@ -252,6 +263,8 @@ def _one_entry(field, entry):
     (_one_entry("Q", "1/0"), "entry '1/0' divides by zero"),
     ({**_one_entry("F3", 1), "filtration": [[[[1]]], [[[0.5]]]]},
      "entry 0.5 is not exact over F3"),
+    ({"field": "F2", "dims": [1, 1], "differentials": [[[1, 1]]]},
+     "2 entries for a vector of width 1"),
 ])
 def test_ss_json_entries_must_be_exact(tmp_path, capsys, doc, why):
     path = tmp_path / "inexact.json"

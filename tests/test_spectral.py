@@ -1,3 +1,6 @@
+import json
+import random
+
 import pytest
 
 from qmcoh.errors import BudgetExceeded, InvariantViolation
@@ -5,7 +8,8 @@ from qmcoh.fixtures import z4_extension
 from qmcoh.linalg import FIELDS, vector_ops
 from qmcoh.spectral import (DEFAULT_BUDGET_MB, ENTRY_BYTES_PRIME,
                             ENTRY_BYTES_RATIONAL, FiniteComplex, Filtration,
-                            SpectralSequence, complex_from_json,
+                            SpectralSequence, adapt_filtration,
+                            complex_from_json,
                             complex_to_json, e_infinity_check,
                             hs_double_complex, hs_memory_estimate_mb,
                             hs_row_filtration, lemma3_check,
@@ -80,8 +84,7 @@ def test_lemma3_skips_when_middle_column_survives():
 
 def test_lemma3_checked_on_vanishing_column():
     # filtering every degree at full depth concentrates E_0 in q = 0
-    pure = Filtration.from_coordinates(
-        CX, [[range(d)] * (n + 1) for n, d in enumerate(CX.dims)])
+    pure = Filtration(CX, [[n] * d for n, d in enumerate(CX.dims)])
     engine = SpectralSequence(CX, pure)
     report = lemma3_check(engine, 2)
     assert report["status"] == "checked"
@@ -162,13 +165,20 @@ def test_budget_estimate_follows_what_the_backend_stores(monkeypatch):
 
 
 def test_random_filtered_complexes_converge():
+    widest = 0
     for seed in range(25):
         cx, filt, hom = random_filtered_complex(seed)
+        widest = max([widest] + [
+            sum(map(bool, cx.ops[n + 1].entries(col)))
+            for n, cols in enumerate(cx.diffs) for col in cols])
         engine = SpectralSequence(cx, filt)
         for n in range(cx.max_degree):
             report = e_infinity_check(engine, n)
             assert report["homology"] == hom[n], (seed, n)
             assert report["ok"], (seed, n)
+    # the adapted basis mixes the normal form's, so columns are not
+    # single entries
+    assert widest >= 3
 
 
 def test_random_complexes_page_consistency():
@@ -191,11 +201,57 @@ def test_json_round_trip_all_fields():
     for seed in range(4):  # seeds rotate through the supported fields
         cx, filt, hom = random_filtered_complex(seed)
         doc = complex_to_json(cx, filt)
-        cx2, filt2 = complex_from_json(doc)
+        cx2, filt2 = complex_from_json(json.loads(json.dumps(doc)))
         assert cx2.dims == cx.dims
+        # the filtration is written in its adapted basis, on which the
+        # adapter is the identity
+        assert cx2.diffs == cx.diffs
+        assert filt2.levels == filt.levels
         engine = SpectralSequence(cx2, filt2)
         for n in range(cx2.max_degree):
             assert e_infinity_check(engine, n)["homology"] == hom[n]
+    for name in ("F2", "F3", "Q"):
+        cx, filt, _ = hs_double_complex(z4_extension(), field=FIELDS[name],
+                                        max_total=2)
+        cx2, filt2 = complex_from_json(
+            json.loads(json.dumps(complex_to_json(cx, filt))))
+        assert cx2.diffs == cx.diffs, name
+        assert filt2.levels == filt.levels, name
+
+
+def _level_preserving_bases(cx, filt, rng):
+    """Level bases of ``filt`` moved by a random invertible map g that
+    keeps every level: g(e_i) = c e_i + sum a e_j over a few j > i, with
+    c nonzero. g is triangular, and it keeps the levels because they
+    ascend with the coordinate."""
+    field = cx.field
+    bases = []
+    for n, levels in enumerate(filt.levels):
+        assert levels == sorted(levels)
+        dim = len(levels)
+        image = []
+        for i in range(dim):
+            later = range(i + 1, dim)
+            coords = {j: rng.randrange(-2, 3)
+                      for j in rng.sample(later, min(2, len(later)))}
+            coords[i] = rng.randrange(1, field.p or 5)
+            image.append(cx.ops[n].from_sparse(coords))
+        bases.append([[v for v, lv in zip(image, levels) if lv >= p]
+                      for p in range(filt.level_bound(n) + 1)])
+    return bases
+
+
+@pytest.mark.parametrize("name, max_total", [
+    ("F2", 3), ("F2", 4), ("F3", 3), ("F3", 4), ("Q", 3)])
+def test_pages_are_filtered_isomorphism_invariants(name, max_total):
+    cx, filt, _ = hs_double_complex(z4_extension(), field=FIELDS[name],
+                                    max_total=max_total)
+    rng = random.Random(f"conjugate:{name}:{max_total}")
+    moved, moved_filt = adapt_filtration(
+        cx, _level_preserving_bases(cx, filt, rng))
+    assert moved.diffs != cx.diffs
+    assert moved_filt.levels == filt.levels
+    assert sequence_report(moved, moved_filt) == sequence_report(cx, filt)
 
 
 def test_complex_validation_rejects_broken_differential():
@@ -218,23 +274,42 @@ def test_complex_validation_rejects_broken_differential():
 def test_filtration_validation_rejects_unstable_levels():
     f2 = FIELDS["F2"]
     cx = FiniteComplex(f2, [1, 1], [[1]])  # d = identity
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="d leaves F"):
         # level 1 contains degree 0 but nothing in degree 1
-        Filtration(cx, [[[1], [1]], [[1]]])
+        adapt_filtration(cx, [[[1], [1]], [[1]]])
+    with pytest.raises(InvariantViolation, match="d leaves F"):
+        Filtration(cx, [[1], [0]])
+    Filtration(cx, [[1], [1]])
+    with pytest.raises(ValueError, match="one level list per degree"):
+        Filtration(cx, [[0]])
+    for levels in ([[0, 0], [0]], [[0], []], [[-1], [1]], [[1.0], [1]],
+                   [["1"], [1]], [[True], [1]], [[None], [1]]):
+        with pytest.raises(ValueError, match="each a non-negative integer"):
+            Filtration(cx, levels)
     for name in ("F3", "Q"):
         field = FIELDS[name]
         one, two = vector_ops(field, 1), vector_ops(field, 2)
         e = one.from_entries([1])
         cx = FiniteComplex(field, [1, 1], [[e]])
-        with pytest.raises(InvariantViolation):
-            Filtration(cx, [[[e], [e]], [[e]]])
+        with pytest.raises(InvariantViolation, match="d leaves F"):
+            adapt_filtration(cx, [[[e], [e]], [[e]]])
         # d(e) = e0 - e1 lies in F^1 = span(e0 - e1), but not in
         # span(e0 + e1), which is the same line over GF(2)
         cx = FiniteComplex(field, [1, 2], [[two.from_entries([1, -1])]])
         whole = [two.basis_vector(0), two.basis_vector(1)]
-        with pytest.raises(InvariantViolation):
-            Filtration(cx, [[[e], [e]], [whole, [two.from_entries([1, 1])]]])
-        Filtration(cx, [[[e], [e]], [whole, [two.from_entries([1, -1])]]])
+        with pytest.raises(InvariantViolation, match="d leaves F"):
+            adapt_filtration(
+                cx, [[[e], [e]], [whole, [two.from_entries([1, 1])]]])
+        adapted, filt = adapt_filtration(
+            cx, [[[e], [e]], [whole, [two.from_entries([1, -1])]]])
+        assert filt.levels == [[1], [0, 1]]
+        assert adapted.diffs == [[two.basis_vector(1)]]
+        # the level checks: F^0 spans, and each level lies in the one below
+        with pytest.raises(InvariantViolation, match="does not span"):
+            adapt_filtration(cx, [[[e]], [[two.basis_vector(0)]]])
+        with pytest.raises(InvariantViolation, match="F.2 not inside F.1"):
+            adapt_filtration(cx, [[[e]], [whole, [two.basis_vector(0)],
+                                          [two.basis_vector(1)]]])
 
 
 def test_report_is_convergent_and_ordered():
