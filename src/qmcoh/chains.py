@@ -34,6 +34,8 @@ from .errors import ResourceCapExceeded
 from .groups import FreeGroup, Group
 from .words import Pow
 
+MAX_CUTOFF = 16
+
 
 class MSeriesTail(NamedTuple):
     """The cut-off part of a power series chain: coeff times the terms
@@ -125,13 +127,6 @@ class Chain:
     def basis(cls, group: Group, *entries) -> "Chain":
         return cls(group, len(entries), [(tuple(entries), Fraction(1))])
 
-    def norm1(self) -> Fraction:
-        """l1 mass of the stored support (the tail is not included)."""
-        return sum((abs(c) for c in self.support.values()), Fraction(0))
-
-    def norm1_total(self) -> Fraction:
-        return self.norm1() + self.tail_bound
-
     def scale(self, a) -> "Chain":
         a = Fraction(a)
         return Chain._of(
@@ -213,8 +208,8 @@ def m_chain(group: Group, g, N: int) -> Chain:
     For the identity every term is degenerate, so the chain (tail
     included) is exactly zero in the normalized complex.
     """
-    if not 1 <= N <= 16:
-        raise ResourceCapExceeded(f"cutoff N={N} outside 1..16")
+    if not 1 <= N <= MAX_CUTOFF:
+        raise ResourceCapExceeded(f"cutoff N={N} outside 1..{MAX_CUTOFF}")
     if g == group.identity:
         return Chain.zero(group, 2)
     symbolic = isinstance(group, FreeGroup)

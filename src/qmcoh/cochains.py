@@ -6,6 +6,10 @@ case, so a cochain is whatever can be evaluated on tuples, plus an
 optional certified sup-norm bound. Finite-support table cochains (for
 adjointness tests) are built on top of the same class.
 
+Coefficients are rationals with the trivial action (``SCALARS``) or
+degree-2 chains under a caller-supplied action (``chain_valued``, for
+the chain cochains of :mod:`qmcoh.extensions`); ``cup`` multiplies scalars.
+
 Two pictures are supported. The non-homogeneous one (``BoundedCochain``,
 tuples of length n) carries the coboundary d with the module action on
 the leading term. The homogeneous one (``InvariantCochain``, tuples of
@@ -14,7 +18,7 @@ length n+1, equivariant) carries the alternating-omission coboundary.
 
 The pairing returns an exact value plus an error bound. Chains built by
 ``chains.m_chain`` carry their truncation tail symbolically; against a
-cochain flagged homogeneous those tails contribute exactly zero, which
+cocycle flagged homogeneous those tails contribute exactly zero, which
 is what makes certified zero-error pairings possible.
 """
 
@@ -35,21 +39,19 @@ class CoefficientModule:
     """Coefficient system for cochains: a kind tag, the vector-space
     operations, and a left group action.
 
-    Kinds: ``trivial_scalar`` (exact rationals, trivial action),
-    ``finite_dim_vector_space`` (tuples of rationals), and ``l1_class``
-    (degree-2 chains, compared only through the pairing; the action is
-    typically a pushforward and is supplied by the caller).
+    Kinds: ``trivial_scalar`` (exact rationals, trivial action) and
+    ``l1_class`` (degree-2 chains, compared only through the pairing;
+    the action, typically a pushforward, is supplied by the caller).
     """
 
-    __slots__ = ("kind", "zero", "add", "scale", "act", "dim", "name")
+    __slots__ = ("kind", "zero", "add", "scale", "act", "name")
 
-    def __init__(self, kind: str, zero, add, scale, act, dim=None, name=""):
+    def __init__(self, kind: str, zero, add, scale, act, name: str):
         self.kind = kind
         self.zero = zero
         self.add = add
         self.scale = scale
         self.act = act
-        self.dim = dim
         self.name = name
 
     @classmethod
@@ -64,59 +66,19 @@ class CoefficientModule:
         )
 
     @classmethod
-    def vector_space(cls, dim: int, action=None,
-                     name: str = "") -> "CoefficientModule":
-        """Rational coordinate vectors of a fixed dimension. ``action``
-        maps (g, vector) to a vector; None means the trivial action."""
-        zero = (Fraction(0),) * dim
-        act = (lambda g, v: v) if action is None else action
-        return cls(
-            "finite_dim_vector_space",
-            zero,
-            lambda u, v: tuple(a + b for a, b in zip(u, v)),
-            lambda a, u: tuple(Fraction(a) * b for b in u),
-            act,
-            dim=dim,
-            name=name or f"Q^{dim}",
-        )
-
-    @classmethod
-    def chain_valued(cls, group: Group, degree: int, action=None,
-                     name: str = "") -> "CoefficientModule":
-        """Values are degree-``degree`` chains over ``group``; the module
-        never materializes classes, equality is read off through the
-        pairing downstream."""
-        act = (lambda g, z: z) if action is None else action
+    def chain_valued(cls, group: Group, degree: int,
+                     action) -> "CoefficientModule":
+        """Values are degree-``degree`` chains over ``group``, acted on
+        by ``action(g, chain)``; the module never materializes classes,
+        equality is read off through the pairing downstream."""
         return cls(
             "l1_class",
             Chain.zero(group, degree),
             lambda u, v: u + v,
             lambda a, z: z.scale(a),
-            act,
-            name=name or "chains",
+            action,
+            name="chains",
         )
-
-    def check_action(self, group: Group, elements, vectors) -> None:
-        """Sampled action laws: identity acts as identity, action
-        respects composition, and each sampled map is undone by the
-        inverse element. Raises InvariantViolation with a witness."""
-        e = group.identity
-        for v in vectors:
-            if self.act(e, v) != v:
-                raise InvariantViolation(f"identity moves {v!r}")
-        for g in elements:
-            for v in vectors:
-                if self.act(group.inv(g), self.act(g, v)) != v:
-                    raise InvariantViolation(
-                        f"action of {g!r} not undone by its inverse on {v!r}"
-                    )
-            for h in elements:
-                gh = group.mul(g, h)
-                for v in vectors:
-                    if self.act(g, self.act(h, v)) != self.act(gh, v):
-                        raise InvariantViolation(
-                            f"action not compositional at ({g!r}, {h!r})"
-                        )
 
     def __repr__(self):
         return f"CoefficientModule({self.kind}, {self.name})"
@@ -130,17 +92,15 @@ class BoundedCochain:
 
     ``evaluator`` takes ``degree`` group elements and returns a module
     element. ``norm_bound``, when given, is a certified bound on the
-    values' magnitude and feeds pairing error bounds. ``homogeneous``
-    marks degree-2 scalar cochains that kill same-base power pairs,
-    enabling exact tail accounting in the pairing.
+    values' magnitude and feeds pairing error bounds.
     """
 
     __slots__ = ("group", "degree", "module", "evaluator", "norm_bound",
-                 "homogeneous", "name")
+                 "name")
 
     def __init__(self, group: Group, degree: int,
                  evaluator: Callable, module: CoefficientModule = SCALARS,
-                 norm_bound=None, homogeneous: bool = False, name: str = "f"):
+                 norm_bound=None, name: str = "f"):
         if degree < 0:
             raise ValueError("degree must be >= 0")
         if degree > MAX_DEGREE:
@@ -152,7 +112,6 @@ class BoundedCochain:
         self.module = module
         self.evaluator = evaluator
         self.norm_bound = None if norm_bound is None else Fraction(norm_bound)
-        self.homogeneous = homogeneous
         self.name = name
 
     def __call__(self, *g):
@@ -309,17 +268,10 @@ def to_inhomogeneous(F: InvariantCochain) -> BoundedCochain:
     return BoundedCochain(grp, F.degree, ev, F.module, name=f"<{F.name}>")
 
 
-def cup(f: BoundedCochain, h: BoundedCochain, mu=None,
-        out_module: CoefficientModule | None = None,
-        equivariance_samples=()) -> BoundedCochain:
-    """Cup product:
+def cup(f: BoundedCochain, h: BoundedCochain) -> BoundedCochain:
+    """Cup product of scalar cochains; other factors raise ValueError:
 
-        (f u h)(g1,...,g_{p+q}) = mu(f(g1..gp), (g1...gp) . h(g_{p+1}..))
-
-    ``mu`` defaults to scalar multiplication (both factors must then
-    have trivial scalar coefficients). ``equivariance_samples`` is an
-    iterable of (g, u, v) triples on which mu's equivariance
-    mu(g.u, g.v) = g.mu(u, v) is checked before anything is built.
+        (f u h)(g1,...,g_{p+q}) = f(g1..gp) * h(g_{p+1}..g_{p+q})
     """
     if f.group is not h.group:
         raise ValueError("cup factors live over different groups")
@@ -328,28 +280,16 @@ def cup(f: BoundedCochain, h: BoundedCochain, mu=None,
         raise ResourceCapExceeded(
             f"cup degree {p + q} beyond configured max {MAX_DEGREE}"
         )
-    default_mu = mu is None
-    if default_mu:
-        if f.module.kind != "trivial_scalar" or h.module.kind != "trivial_scalar":
-            raise ValueError("default mu needs scalar factors")
-        mu = lambda u, v: u * v
-    out = out_module if out_module is not None else SCALARS
-    for g, u, v in equivariance_samples:
-        lhs = mu(f.module.act(g, u), h.module.act(g, v))
-        if lhs != out.act(g, mu(u, v)):
-            raise InvariantViolation(
-                f"mu not equivariant at g={g!r}, u={u!r}, v={v!r}"
-            )
-    grp = f.group
+    if f.module.kind != "trivial_scalar" or h.module.kind != "trivial_scalar":
+        raise ValueError("cup needs scalar factors")
 
     def ev(*g):
-        prefix = grp.mul(*g[:p]) if p else grp.identity
-        return mu(f(*g[:p]), h.module.act(prefix, h(*g[p:])))
+        return f(*g[:p]) * h(*g[p:])
 
     bound = None
-    if default_mu and f.norm_bound is not None and h.norm_bound is not None:
+    if f.norm_bound is not None and h.norm_bound is not None:
         bound = f.norm_bound * h.norm_bound
-    return BoundedCochain(grp, p + q, ev, out, norm_bound=bound,
+    return BoundedCochain(f.group, p + q, ev, SCALARS, norm_bound=bound,
                           name=f"{f.name}u{h.name}")
 
 
@@ -371,7 +311,7 @@ def pair(c, z: Chain) -> PairingResult:
     Accepts any evaluator with ``degree`` and ``evaluate`` (both the
     cocycle classes and :class:`BoundedCochain`); scalar values are
     required. Bound rules: zero tail gives bound 0; a tail made of
-    power-series tails paired against a cochain flagged homogeneous
+    power-series tails paired against a cocycle flagged homogeneous
     contributes exactly 0 (every cut term is a same-base power pair);
     otherwise the bound is norm_bound * tail_bound, and a missing norm
     bound is an error.

@@ -46,8 +46,8 @@ class AbstractKernel:
     """A lift psi: Pi -> Aut(G) together with its defect f: Pi^2 -> G.
 
     The pair is expected to satisfy f-normalization and the composition
-    law psi(a) psi(b) = i_{f(a,b)} psi(ab); both are sampled by the
-    check methods rather than enforced blindly at construction.
+    law psi(a) psi(b) = i_{f(a,b)} psi(ab); neither is enforced at
+    construction (``TwistedProduct.law_defect`` samples the law).
     """
 
     def __init__(self, pi: Group, g: Group, psi, f, name: str = "kernel"):
@@ -67,26 +67,6 @@ class AbstractKernel:
 
     def f(self, alpha, beta):
         return self._f(alpha, beta)
-
-    def check_normalized(self, alphas) -> None:
-        e = self.pi.identity
-        one = self.g.identity
-        for a in alphas:
-            if self.f(a, e) != one or self.f(e, a) != one:
-                raise ValueError(f"defect not normalized at {a!r}")
-
-    def composition_defect(self, alpha, beta):
-        """None when psi(a) psi(b) = i_{f(a,b)} psi(ab) on the fiber's
-        test elements, else a witness tuple."""
-        lhs = compose(self.psi(alpha), self.psi(beta))
-        rhs = compose(
-            inner_automorphism(self.g, self.f(alpha, beta)),
-            self.psi(self.pi.mul(alpha, beta)),
-        )
-        for g in self.g.test_elements():
-            if lhs(g) != rhs(g):
-                return (g, lhs(g), rhs(g))
-        return None
 
     def conjugate_by(self, h) -> "AbstractKernel":
         """The kernel with lift i_{h(a)} . psi(a) and the matching

@@ -35,9 +35,6 @@ class Group:
         """g . h . g^-1"""
         return self.mul(g, h, self.inv(g))
 
-    def commutator(self, g, h):
-        return self.mul(g, h, self.inv(g), self.inv(h))
-
     def power(self, g, n: int):
         """g^n by repeated squaring, one reduction per product."""
         if abs(n) > words.POWER_CAP:
@@ -104,14 +101,14 @@ class FreeGroup(Group):
 
 
 class FiniteGroup(Group):
-    """Cayley-table group; elements are 1-based ints.
+    """Cayley-table group; elements are 1-based ints, 1 the identity.
 
     The table is validated on construction: shape, 1-based entries, the
     identity row and column, Latin-square rows and columns, and (for
     orders small enough to afford it) associativity.
     """
 
-    def __init__(self, table, identity: int = 1, name: str | None = None):
+    def __init__(self, table, name: str | None = None):
         table = tuple(tuple(row) for row in table)
         n = len(table)
         if n == 0:
@@ -122,9 +119,7 @@ class FiniteGroup(Group):
             for v in row:
                 if not (1 <= v <= n):
                     raise ValueError(f"entry {v} out of range 1..{n}")
-        if not (1 <= identity <= n):
-            raise ValueError("identity index out of range")
-        e = identity
+        e = 1
         full = set(range(1, n + 1))
         for i in range(1, n + 1):
             if table[e - 1][i - 1] != i or table[i - 1][e - 1] != i:
@@ -144,7 +139,7 @@ class FiniteGroup(Group):
                             )
         self.table = table
         self.order = n
-        self.identity = identity
+        self.identity = e
         self.name = name
         inv = [0] * (n + 1)
         for g in range(1, n + 1):
@@ -156,7 +151,7 @@ class FiniteGroup(Group):
         table = [
             [((i + j) % n) + 1 for j in range(n)] for i in range(n)
         ]
-        return cls(table, identity=1, name=name or f"Z/{n}")
+        return cls(table, name=name or f"Z/{n}")
 
     def mul(self, *elts):
         acc = self.identity
@@ -178,13 +173,6 @@ class FiniteGroup(Group):
 
     def test_elements(self):
         return tuple(self.elements()) if self.order <= 64 else (self.identity,)
-
-    def element_order(self, g) -> int:
-        k, acc = 1, g
-        while acc != self.identity:
-            acc = self.mul(acc, g)
-            k += 1
-        return k
 
     def __repr__(self):
         return self.name or f"FiniteGroup(order={self.order})"

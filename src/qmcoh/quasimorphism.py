@@ -54,13 +54,6 @@ def count_occurrences(needle: str, hay: str) -> int:
     return n
 
 
-def brooks_count(w: Word, g: Word) -> int:
-    """Overlapping occurrences of the reduced word w inside g."""
-    if w == ():
-        raise ValueError("counting the empty word is not defined")
-    return count_occurrences(words.chars(w), words.chars(g))
-
-
 def _inv_chars(s: str) -> str:
     return s.swapcase()[::-1]
 
@@ -175,25 +168,6 @@ class BrooksQuasimorphism(Quasimorphism):
                 val = self.eval_string(uc + cc * k + ui)
         self._power_cache[key] = val
         return val
-
-
-class HomomorphismQuasimorphism(Quasimorphism):
-    """Exact homomorphism F_r -> Q given by generator weights."""
-
-    homogeneous = True
-
-    def __init__(self, weights: dict[int, Fraction], name: str | None = None):
-        super().__init__(name or "hom")
-        self.weights = {k: Fraction(v) for k, v in weights.items()}
-
-    def __call__(self, g):
-        return sum(
-            (w * words.exponent_sum(g, k) for k, w in self.weights.items()),
-            start=Fraction(0),
-        )
-
-    def eval_power(self, g, n):
-        return n * self(g)
 
 
 class SumQuasimorphism(Quasimorphism):

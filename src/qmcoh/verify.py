@@ -30,6 +30,7 @@ from typing import Callable, NamedTuple
 
 from . import words
 from .chains import (
+    MAX_CUTOFF,
     Chain,
     HomogeneousChain,
     boundary,
@@ -102,8 +103,8 @@ class VerifyContext:
             )
         if samples < 1:
             raise ValueError("samples must be >= 1")
-        if cutoff < 1:
-            raise ValueError("cutoff must be >= 1")
+        if not 1 <= cutoff <= MAX_CUTOFF:
+            raise ValueError(f"cutoff must be in 1..{MAX_CUTOFF}")
         self.fixture = fixture
         self.seed = seed
         self.samples = samples

@@ -151,6 +151,13 @@ def test_verify_rejects_unknown_fixture(capsys):
     assert rc == 2 and "fixture" in err
 
 
+@pytest.mark.parametrize("cutoff", ["0", "17"])
+def test_verify_rejects_a_cutoff_the_chain_layer_refuses(capsys, cutoff):
+    rc, out, err = run(capsys, "verify", "--suite", "qm",
+                       "--cutoff-n", cutoff)
+    assert rc == 2 and out == "" and "cutoff must be in 1..16" in err
+
+
 # -------------------------------------------------------------------- ss
 
 

@@ -110,10 +110,12 @@ def test_product_rule_fails_on_corrupted_kernel():
 def test_composition_law_and_normalization():
     rng = random.Random(2)
     pool = pi_elements(EXT.pi)
-    KER.check_normalized(pool)
-    for _ in range(10):
-        a, b = rng.choice(pool), rng.choice(pool)
-        assert KER.composition_defect(a, b) is None
+    e = EXT.pi.identity
+    for a in pool:
+        assert KER.f(a, e) == KER.f(e, a) == F2.identity
+    twisted = TwistedProduct(KER.pi, KER.g, KER.psi, KER.f)
+    for a, b, c in random_triples(EXT, rng, 10):
+        assert twisted.law_defect(a, b, c) is None
     swd = split_swap(decorated=True).kernel()
     # psi_s(2)^2 = i_{f(2,2)} = i_ab on the generators
     sq = swd.psi(2)
@@ -130,8 +132,9 @@ def test_conjugated_kernel_still_satisfies_product_rule():
     k2 = KER.conjugate_by(h)
     rep = check_nonabelian_cocycle(k2, random_triples(EXT, rng, 15))
     assert rep.passed
+    twisted = TwistedProduct(k2.pi, k2.g, k2.psi, k2.f)
     for a, b in [(GEN, GEN), (GEN, words.inv(GEN))]:
-        assert k2.composition_defect(a, b) is None
+        assert twisted.law_defect(a, b, GEN) is None
 
 
 def test_product_rule_is_twisted_associativity():

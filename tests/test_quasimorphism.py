@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,9 +10,8 @@ from qmcoh.quasimorphism import (
     BrooksQuasimorphism,
     Cochain2,
     DefectCocycle,
-    HomomorphismQuasimorphism,
+    Homogenization,
     SumQuasimorphism,
-    brooks_count,
     cocycle_defect,
     count_occurrences,
     defect_estimate,
@@ -34,12 +32,11 @@ def test_count_occurrences_overlapping():
     assert count_occurrences("aa", "aaa") == 2
     assert count_occurrences("ab", "") == 0
     assert count_occurrences("aba", "ababa") == 2
-
-
-def test_brooks_count():
-    assert brooks_count(p("ab"), p("abab")) == 2
-    assert brooks_count(p("ab"), ()) == 0
-    assert brooks_count(p("aa"), p("aaa")) == 2
+    # the same counts on the letter encoding of reduced words
+    c = words.chars
+    assert count_occurrences(c(p("ab")), c(p("abab"))) == 2
+    assert count_occurrences(c(p("ab")), c(())) == 0
+    assert count_occurrences(c(p("aa")), c(p("aaa"))) == 2
 
 
 def test_brooks_evaluation():
@@ -148,20 +145,15 @@ def test_homogenize_conjugation_invariance():
 
 def test_homogenize_is_homogeneous():
     phi = BrooksQuasimorphism(p("abb"))
+    hom = Homogenization(phi)
     rng = random.Random(13)
     for _ in range(10):
         g = F2.random_element(rng, 7)
         v = homogenize(phi, g)
         for n in (-3, -1, 2, 4):
             assert homogenize(phi, words.power(g, n)) == n * v
-
-
-def test_homomorphism_qm():
-    phi = HomomorphismQuasimorphism({1: 1, 2: Fraction(-1, 2)})
-    assert phi(p("ab")) == Fraction(1, 2)
-    assert phi.homogeneous
-    assert phi.eval_power(p("ab"), 6) == 3
-    assert homogenize(phi, p("ab")) == Fraction(1, 2)
+        # a homogeneous phi is its own homogenization
+        assert homogenize(hom, g) == v
 
 
 def test_defect_estimate_is_deterministic_lower_bound():

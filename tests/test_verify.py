@@ -96,3 +96,6 @@ def test_parameter_validation():
         run_suite("qm", samples=0)
     with pytest.raises(ValueError, match="fixture"):
         run_suite("qm", fixture="missing")
+    for cutoff in (0, 17):
+        with pytest.raises(ValueError, match="cutoff"):
+            run_suite("qm", cutoff=cutoff)
