@@ -25,8 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import words
-from .chains import Chain, m2_chain, pushforward
+from .chains import m2_chain, pushforward
 from .cochains import BoundedCochain, CoefficientModule
 from .errors import CentralityViolation, KernelRelationViolation
 from .groups import (
@@ -425,21 +424,20 @@ def lambda_chain(k: AbstractKernel, k2: AbstractKernel, h,
 
     so it leaves the residue <c, d rho>, which is not zero in general.
 
-    Prechecks on the samples: k2's lift must be i_{h(a)} . psi(a) on the
-    fiber's test elements, and k2's defect must match the conjugated
-    defect up to a central element. Violations raise
-    KernelRelationViolation with a witness.
+    Prechecks on the samples: k2's lift must agree with the lift of
+    ``k.conjugate_by(h)`` on the fiber's test elements, and k2's defect
+    must match that kernel's defect up to a central element. Violations
+    raise KernelRelationViolation with a witness.
     """
     G, P = k.g, k.pi
+    conj = k.conjugate_by(h)
     for a in check_alphas:
-        expect = compose(inner_automorphism(G, h(a)), k.psi(a))
+        expect = conj.psi(a)
         for x in G.test_elements():
             if k2.psi(a)(x) != expect(x):
                 raise KernelRelationViolation((a, x), k2.psi(a)(x), expect(x))
     for a, b in check_pairs:
-        derived = G.mul(
-            h(a), k.psi(a)(h(b)), k.f(a, b), G.inv(h(P.mul(a, b))),
-        )
+        derived = conj.f(a, b)
         diff = G.mul(G.inv(derived), k2.f(a, b))
         central = all(
             G.mul(diff, t) == G.mul(t, diff) for t in G.test_elements()

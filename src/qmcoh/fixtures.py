@@ -26,7 +26,6 @@ from .groups import (
     FreeAutomorphism,
     FreeGroup,
     TwistedProduct,
-    identity_automorphism,
     inner_automorphism,
 )
 from .quasimorphism import (
@@ -58,7 +57,7 @@ def semidirect_f2_z(decorated: bool = True) -> ExtensionData:
     G = FreeGroup(2)
     u = twist_automorphism(G)
     u_inv = u.inverse()
-    pows = {0: identity_automorphism(G)}
+    pows = {0: inner_automorphism(G, G.identity)}
 
     def u_pow(n: int) -> FreeAutomorphism:
         aut = pows.get(n)
@@ -131,7 +130,7 @@ def split_swap(decorated: bool = False) -> ExtensionData:
     P = FiniteGroup.cyclic(2, name="z2")
     G = FreeGroup(2)
     swap = FreeAutomorphism(G, ((2,), (1,)), ((2,), (1,)))
-    auts = {1: identity_automorphism(G), 2: swap}
+    auts = {1: inner_automorphism(G, G.identity), 2: swap}
 
     gamma = TwistedProduct(P, G, auts.__getitem__, lambda a, b: (),
                            precheck_triples=[(2, 2, 2), (1, 2, 2)])

@@ -6,9 +6,9 @@ groups given by Cayley tables, (base, fiber) pairs for twisted products.
 Using plain data keeps elements usable as dict keys throughout the chain
 and cochain layers.
 
-Automorphisms are small callable objects carrying their own inverse
-(free-group ones by an explicit inverse-image witness, finite ones by a
-permutation, ad hoc ones by a pair of functions).
+Automorphisms are small callable objects that keep their own inverse:
+free-group ones by an explicit inverse-image witness, all others by a
+pair of functions.
 """
 
 from __future__ import annotations
@@ -231,10 +231,11 @@ class FreeAutomorphism(Automorphism):
             if not group.contains(w):
                 raise ValueError(f"image {w!r} not in {group!r}")
         for k in range(1, group.rank + 1):
-            if self.apply_to(self.inverse_images[k - 1]) != (k,):
+            if self(self.inverse_images[k - 1]) != (k,):
                 raise ValueError(f"inverse witness fails on generator {k}")
             if self._apply(self.inverse_images, self.images[k - 1]) != (k,):
                 raise ValueError(f"witness fails in reverse on generator {k}")
+        self._inverse = None
 
     @staticmethod
     def _apply(images, w: Word) -> Word:
@@ -244,21 +245,22 @@ class FreeAutomorphism(Automorphism):
             parts.append(img if k > 0 else words.inv(img))
         return words.mul(*parts)
 
-    def apply_to(self, w: Word) -> Word:
-        return self._apply(self.images, w)
-
     def __call__(self, g):
-        return self.apply_to(g)
+        return self._apply(self.images, g)
 
     def inverse(self):
-        return FreeAutomorphism(self.group, self.inverse_images, self.images)
+        """The inverse, built and checked on first use; the two
+        automorphisms then point at each other."""
+        if self._inverse is None:
+            inv = FreeAutomorphism(self.group, self.inverse_images, self.images)
+            inv._inverse = self
+            self._inverse = inv
+        return self._inverse
 
     def compose(self, other: "FreeAutomorphism") -> "FreeAutomorphism":
         """self after other, as an explicit substitution."""
-        images = tuple(self.apply_to(w) for w in other.images)
-        inv_images = tuple(
-            other.inverse().apply_to(w) for w in self.inverse_images
-        )
+        images = tuple(self(w) for w in other.images)
+        inv_images = tuple(other.inverse()(w) for w in self.inverse_images)
         return FreeAutomorphism(self.group, images, inv_images)
 
     def __repr__(self):
@@ -266,44 +268,6 @@ class FreeAutomorphism(Automorphism):
             f"{words.fmt((k,))}->{words.fmt(w)}"
             for k, w in enumerate(self.images, start=1)
         )
-
-
-class FiniteAutomorphism(Automorphism):
-    """Permutation automorphism of a Cayley-table group."""
-
-    def __init__(self, group: FiniteGroup, mapping):
-        super().__init__(group)
-        mapping = tuple(mapping)
-        n = group.order
-        if len(mapping) != n or set(mapping) != set(range(1, n + 1)):
-            raise ValueError("mapping is not a permutation of 1..order")
-        if mapping[group.identity - 1] != group.identity:
-            raise ValueError("automorphism must fix the identity")
-        for a in range(1, n + 1):
-            for b in range(1, n + 1):
-                if mapping[group.mul(a, b) - 1] != group.mul(
-                    mapping[a - 1], mapping[b - 1]
-                ):
-                    raise ValueError(f"not a homomorphism at ({a},{b})")
-        self.mapping = mapping
-
-    def __call__(self, g):
-        return self.mapping[g - 1]
-
-    def inverse(self):
-        inv = [0] * self.group.order
-        for src, dst in enumerate(self.mapping, start=1):
-            inv[dst - 1] = src
-        return FiniteAutomorphism(self.group, inv)
-
-
-def identity_automorphism(group: Group) -> Automorphism:
-    if isinstance(group, FreeGroup):
-        gens = group.generators
-        return FreeAutomorphism(group, gens, gens)
-    if isinstance(group, FiniteGroup):
-        return FiniteAutomorphism(group, range(1, group.order + 1))
-    return MapAutomorphism(group, lambda g: g, lambda g: g, label="id")
 
 
 def inner_automorphism(group: Group, k) -> Automorphism:
@@ -315,9 +279,6 @@ def inner_automorphism(group: Group, k) -> Automorphism:
             words.conjugate(g, k_inv) for g in group.generators
         )
         return FreeAutomorphism(group, images, inv_images)
-    if isinstance(group, FiniteGroup):
-        mapping = [group.conj(k, g) for g in group.elements()]
-        return FiniteAutomorphism(group, mapping)
     k_inv = group.inv(k)
     return MapAutomorphism(
         group,

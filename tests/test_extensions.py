@@ -34,7 +34,7 @@ from qmcoh.fixtures import (
     swap_invariant_cocycle,
     z4_extension,
 )
-from qmcoh.groups import TwistedProduct, identity_automorphism
+from qmcoh.groups import TwistedProduct, inner_automorphism
 from qmcoh.quasimorphism import (
     BrooksQuasimorphism,
     DefectCocycle,
@@ -225,7 +225,7 @@ def test_section_power_and_conjugation_laws():
 
 
 def test_lift_of_identity_is_identity():
-    lifted = lift_automorphism(MODEL, identity_automorphism(F2))
+    lifted = lift_automorphism(MODEL, inner_automorphism(F2, ()))
     rng = random.Random(10)
     for _ in range(10):
         x = MODEL.random_element(rng, 5)
@@ -378,6 +378,12 @@ def test_lambda_prechecks_reject_wrong_kernel():
     )
     with pytest.raises(KernelRelationViolation):
         lambda_chain(KER, wrong_f, h, check_pairs=[(GEN, GEN)])
+    # the unconjugated lift and defect are wrong too
+    with pytest.raises(KernelRelationViolation):
+        lambda_chain(KER, KER, h, check_alphas=[GEN])
+    plain_f = AbstractKernel(KER.pi, KER.g, k2.psi, KER.f)
+    with pytest.raises(KernelRelationViolation):
+        lambda_chain(KER, plain_f, h, check_pairs=[(GEN, GEN)])
 
 
 def test_adjusted_lambda_cobounds_theta_difference():

@@ -4,14 +4,13 @@ import pytest
 
 from qmcoh import words
 from qmcoh.errors import NotACocycle
+from qmcoh.fixtures import twist_automorphism
 from qmcoh.groups import (
-    FiniteAutomorphism,
     FiniteGroup,
     FreeAutomorphism,
     FreeGroup,
     TwistedProduct,
     compose,
-    identity_automorphism,
     inner_automorphism,
 )
 from qmcoh.words import parse
@@ -74,6 +73,15 @@ def test_free_automorphism_apply_and_inverse():
         assert u(v(w)) == w
 
 
+def test_inverse_is_built_once_and_linked_both_ways():
+    for u in (twist_automorphism(F2), inner_automorphism(F2, parse("ab"))):
+        v = u.inverse()
+        assert u.inverse() is v
+        assert v.inverse() is u
+        assert v.images == u.inverse_images
+        assert v.inverse_images == u.images
+
+
 def test_free_automorphism_witness_validation():
     with pytest.raises(ValueError, match="witness"):
         FreeAutomorphism(F2, [parse("aba'"), parse("a")], [parse("b"), parse("ab")])
@@ -98,18 +106,11 @@ def test_inner_automorphism_free():
     assert j(i(parse("ab'ab"))) == parse("ab'ab")
 
 
-def test_finite_automorphism():
-    z4 = FiniteGroup.cyclic(4)
-    neg = FiniteAutomorphism(z4, [1, 4, 3, 2])  # x -> -x
-    assert neg(2) == 4
-    assert neg.inverse()(4) == 2
-    with pytest.raises(ValueError, match="homomorphism|permutation|identity"):
-        FiniteAutomorphism(z4, [1, 3, 2, 4])
-
-
 def test_identity_automorphism():
     for grp, elt in ((F2, parse("ab'a")), (FiniteGroup.cyclic(6), 4)):
-        assert identity_automorphism(grp)(elt) == elt
+        identity = inner_automorphism(grp, grp.identity)
+        assert identity(elt) == elt
+        assert identity.inverse()(elt) == elt
 
 
 def test_compose_mixed():
@@ -126,7 +127,7 @@ def semidirect_f2_z():
     base (modeled as the rank-1 free group)."""
     z = FreeGroup(1)
     u = u_aut()
-    cache = {0: identity_automorphism(F2), 1: u, -1: u.inverse()}
+    cache = {0: inner_automorphism(F2, ()), 1: u, -1: u.inverse()}
 
     def psi(n_word):
         n = words.exponent_sum(n_word, 1)
@@ -158,7 +159,7 @@ def test_twisted_product_semidirect_laws():
 
 def test_twisted_product_with_genuine_twist_is_z4_like():
     z2 = FiniteGroup.cyclic(2)
-    psi = lambda a: identity_automorphism(z2)
+    psi = lambda a: inner_automorphism(z2, 1)
     f = lambda a, b: 2 if (a == 2 and b == 2) else 1
     gamma = TwistedProduct(z2, z2, psi, f)
     c = (2, 1)
@@ -170,7 +171,7 @@ def test_twisted_product_with_genuine_twist_is_z4_like():
 
 def test_twisted_product_precheck_catches_bad_f():
     z2 = FiniteGroup.cyclic(2)
-    psi = lambda a: identity_automorphism(z2)
+    psi = lambda a: inner_automorphism(z2, 1)
     bad_f = lambda a, b: 2 if (a, b) == (2, 1) else 1  # not normalized-compatible
     triples = [(a, b, c) for a in (1, 2) for b in (1, 2) for c in (1, 2)]
     with pytest.raises(NotACocycle):

@@ -7,7 +7,6 @@ from qmcoh import words
 from qmcoh.errors import ResourceCapExceeded
 from qmcoh.words import (
     chars,
-    conjugate,
     cyclic_reduce,
     exponent_sum,
     fmt,
