@@ -52,9 +52,6 @@ class PrimeField:
     def mul(self, a, b):
         return (a * b) % self.p
 
-    def neg(self, a):
-        return (-a) % self.p
-
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverting 0")
@@ -88,9 +85,6 @@ class RationalField:
 
     def mul(self, a, b):
         return a * b
-
-    def neg(self, a):
-        return -a
 
     def inv(self, a):
         if a == 0:

@@ -21,8 +21,10 @@ point anywhere below.
 The double complex of a finite group extension is instantiated with
 trivial one-dimensional coefficients: horizontal cochains on the
 quotient, vertical cochains built from orbit functions on tuples over
-the ambient group. Its vertical (column) filtration gives block
-(p, q) level p.
+the ambient group. The fiber acts freely, so each orbit is read off
+its first entry in closed form, and every column is summed over the
+integers and reduced into the field once, when it is stored. Its
+vertical (column) filtration gives block (p, q) level p.
 """
 
 from __future__ import annotations
@@ -382,44 +384,7 @@ def e_infinity_check(engine: SpectralSequence, n: int) -> dict:
             "homology": hom, "ok": total == hom}
 
 
-def lemma3_check(engine: SpectralSequence, max_n: int | None = None) -> dict:
-    """Conditional low-degree consequences of a vanishing first vertical
-    column: E_3^{n,0} = E_2^{n,0}, and E_2^{n,2} surjects onto E_3^{n,2}
-    with kernel generated by the incoming d_2. Skipped (not passed) when
-    the hypothesis fails in the window."""
-    cx = engine.cx
-    top = cx.max_degree
-    if max_n is None:
-        max_n = top - 1
-    hyp_cells = []
-    for p in range(min(max_n, top - 1 - 1) + 1):
-        d = engine.dim(2, p, 1)
-        hyp_cells.append({"p": p, "q": 1, "dim": d})
-        if d != 0:
-            return {"status": "skipped",
-                    "reason": "hypothesis not met, skipped",
-                    "witness": {"p": p, "q": 1, "dim": d}}
-    checks = []
-    for n in range(0, min(max_n, top - 1) + 1):
-        checks.append({"cell": [n, 0],
-                       "claim": "E3 equals E2",
-                       "ok": engine.dim(3, n, 0) == engine.dim(2, n, 0)})
-    for n in range(0, min(max_n, top - 3) + 1):
-        incoming = engine.d_rank(2, n - 2, 3) if n >= 2 else 0
-        checks.append({"cell": [n, 2],
-                       "claim": "E2 surjects onto E3",
-                       "ok": engine.dim(3, n, 2)
-                       == engine.dim(2, n, 2) - incoming})
-    ok = all(c["ok"] for c in checks)
-    return {"status": "checked", "hypothesis": hyp_cells,
-            "checks": checks, "ok": ok}
-
-
 # ---------------------------------------------------------------- builders
-
-
-def _orbit_key(gamma: FiniteGroup, subgroup, tup):
-    return min(tuple(gamma.mul(h, x) for x in tup) for h in subgroup)
 
 
 def hs_memory_estimate_mb(ext, field, max_total: int) -> float:
@@ -455,14 +420,20 @@ def hs_double_complex(ext, field=GF2, max_total: int = 5):
 
     Horizontal direction: cochains on the quotient in the fiber-orbit
     module; vertical direction: the omit-one differential on orbit
-    functions over tuples of the ambient group. Returns (complex,
+    functions over tuples of the ambient group. An orbit is named by its
+    least tuple. The fiber acts freely by left multiplication, so that
+    tuple is the translate whose first entry is least, and the orbits of
+    length t are (coset minimum, any t - 1 elements) in lexicographic
+    order. Columns are summed over the integers, signs included, and
+    ``from_sparse`` reduces them into the field. Returns (complex,
     filtration, layout info).
     """
     gamma, pi, g = ext.gamma, ext.pi, ext.g
     for grp in (gamma, pi, g):
         if not isinstance(grp, FiniteGroup):
             raise TypeError("double complex needs finite groups throughout")
-    subgroup = tuple(sorted(ext.include(x) for x in g.elements()))
+    subgroup = [ext.include(x) for x in g.elements()]
+    elts = sorted(gamma.elements())
     pi_elts = tuple(sorted(pi.elements()))
 
     est_mb = hs_memory_estimate_mb(ext, field, max_total)
@@ -472,18 +443,18 @@ def hs_double_complex(ext, field=GF2, max_total: int = 5):
             f"estimated {est_mb:.0f} MB for the double complex exceeds "
             f"QMCOH_BUDGET_MB={budget}")
 
-    # orbit bases of the vertical modules, per tuple length
-    orbits = {}
-    orb_index = {}
-    for t in range(1, max_total + 2):
-        seen = set()
-        for tup in itertools.product(sorted(gamma.elements()), repeat=t):
-            seen.add(_orbit_key(gamma, subgroup, tup))
-        orbits[t] = sorted(seen)
-        orb_index[t] = {rep: i for i, rep in enumerate(orbits[t])}
+    # orbit bases of the vertical modules, per tuple length: least[x] is
+    # the fiber element h that makes h.x least in its coset
+    least = {x: min(subgroup, key=lambda h: gamma.mul(h, x)) for x in elts}
+    minima = sorted({gamma.mul(least[x], x) for x in elts})
+    orbits = {t: list(itertools.product(minima, *[elts] * (t - 1)))
+              for t in range(1, max_total + 2)}
+    orb_index = {t: {rep: i for i, rep in enumerate(reps)}
+                 for t, reps in orbits.items()}
 
     def orbit_of(t, tup):
-        return orb_index[t][_orbit_key(gamma, subgroup, tup)]
+        h = least[tup[0]]
+        return orb_index[t][tuple(gamma.mul(h, x) for x in tup)]
 
     # quotient action on orbit bases, one permutation per element
     act = {}
@@ -504,16 +475,15 @@ def hs_double_complex(ext, field=GF2, max_total: int = 5):
                         f"quotient action fails to compose at ({a}, {b})")
         act[q] = table
 
-    # vertical differential on orbit functions, as sparse columns
+    # vertical differential on orbit functions: column src lists
+    # (target, omitted slot i), of sign (-1)^i
     vert = {}
     for q in range(max_total):
         t = q + 2
         cols = [[] for _ in orbits[q + 1]]
         for tgt, rep in enumerate(orbits[t]):
             for i in range(t):
-                src = orbit_of(t - 1, rep[:i] + rep[i + 1:])
-                sign = field.one if i % 2 == 0 else field.neg(field.one)
-                cols[src].append((tgt, sign))
+                cols[orbit_of(t - 1, rep[:i] + rep[i + 1:])].append((tgt, i))
         vert[q] = cols
 
     tuples = {p: list(itertools.product(pi_elts, repeat=p))
@@ -537,7 +507,7 @@ def hs_double_complex(ext, field=GF2, max_total: int = 5):
         offsets.append(offs)
         dims.append(total)
 
-    F = field
+    # each column is an integer sum of signed unit entries
     diffs = []
     for n in range(max_total):
         ops_next = vector_ops(field, dims[n + 1])
@@ -548,35 +518,30 @@ def hs_double_complex(ext, field=GF2, max_total: int = 5):
             n_orb_up = len(orbits[q + 2])
             horiz_base = offsets[n + 1][p + 1]
             vert_base = offsets[n + 1][p]
-            twist = F.one if p % 2 == 0 else F.neg(F.one)
-            for a in tuples[p]:
+            up_index = tup_index[p + 1]
+            for ta, a in enumerate(tuples[p]):
                 for o in range(n_orb):
                     col: dict = {}
-
-                    def put(idx, coeff):
-                        col[idx] = F.add(col.get(idx, F.zero), coeff)
-
                     # horizontal: act on the value, prepend a slot
                     for beta in pi_elts:
-                        ti = tup_index[p + 1][(beta,) + a]
-                        put(horiz_base + ti * n_orb + act[q][beta][o], F.one)
+                        k = (horiz_base + up_index[(beta,) + a] * n_orb
+                             + act[q][beta][o])
+                        col[k] = col.get(k, 0) + 1
                     # horizontal: split each slot of the argument tuple
                     for i in range(1, p + 1):
-                        sign = F.one if i % 2 == 0 else F.neg(F.one)
                         for x in pi_elts:
                             y = pi.mul(pi.inv(x), a[i - 1])
                             merged = a[:i - 1] + (x, y) + a[i:]
-                            ti = tup_index[p + 1][merged]
-                            put(horiz_base + ti * n_orb + o, sign)
+                            k = horiz_base + up_index[merged] * n_orb + o
+                            col[k] = col.get(k, 0) + (-1) ** i
                     # horizontal: drop the trailing slot
-                    sign = F.one if (p + 1) % 2 == 0 else F.neg(F.one)
                     for beta in pi_elts:
-                        ti = tup_index[p + 1][a + (beta,)]
-                        put(horiz_base + ti * n_orb + o, sign)
+                        k = horiz_base + up_index[a + (beta,)] * n_orb + o
+                        col[k] = col.get(k, 0) + (-1) ** (p + 1)
                     # vertical, twisted by the horizontal degree
-                    ti = tup_index[p][a]
-                    for tgt, sgn in vert[q][o]:
-                        put(vert_base + ti * n_orb_up + tgt, F.mul(twist, sgn))
+                    for tgt, i in vert[q][o]:
+                        k = vert_base + ta * n_orb_up + tgt
+                        col[k] = col.get(k, 0) + (-1) ** (p + i)
                     cols.append(ops_next.from_sparse(col))
         diffs.append(cols)
 
@@ -762,20 +727,26 @@ def complex_from_json(doc: dict):
         if not _is_count(d):
             raise ValueError(f"dims entry {d!r} is not a non-negative integer")
     all_ops = [vector_ops(field, d) for d in dims]
-    diffs = [
-        [all_ops[n + 1].from_entries([_decode_entry(field, e) for e in col])
-         for col in cols]
-        for n, cols in enumerate(doc["differentials"])]
+
+    def vector(n, entries):
+        """A degree-n vector from a list of exactly ``dims[n]`` entries."""
+        if not isinstance(entries, list):
+            raise ValueError(f"vector {entries!r} is not a list")
+        if len(entries) != dims[n]:
+            raise ValueError(
+                f"{len(entries)} entries for a vector of width {dims[n]}")
+        return all_ops[n].from_entries(
+            [_decode_entry(field, e) for e in entries])
+
+    diffs = [[vector(n + 1, col) for col in cols]
+             for n, cols in enumerate(doc["differentials"])]
     cx = FiniteComplex(field, dims, diffs, check=True)
     filt = None
     if "filtration" in doc:
         if len(doc["filtration"]) != len(dims):
             raise ValueError(f"filtration has {len(doc['filtration'])} "
                              f"chains for {len(dims)} degrees")
-        bases = [
-            [[all_ops[n].from_entries([_decode_entry(field, e) for e in vec])
-              for vec in basis]
-             for basis in chain]
-            for n, chain in enumerate(doc["filtration"])]
+        bases = [[[vector(n, vec) for vec in basis] for basis in chain]
+                 for n, chain in enumerate(doc["filtration"])]
         cx, filt = adapt_filtration(cx, bases)
     return cx, filt

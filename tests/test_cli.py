@@ -245,6 +245,13 @@ def test_ss_rejects_negative_max_r(capsys):
     ({"field": "Q", "dims": 2, "differentials": []}, "dims 2 is not a list"),
     ({"field": "F3", "dims": [1, 1], "differentials": [[[1]]],
       "filtration": [[[[1]]]]}, "filtration has 1 chains for 2 degrees"),
+    ({"field": "F3", "dims": [1, 2], "differentials": [[[1]]]},
+     "1 entries for a vector of width 2"),
+    ({"field": "F2", "dims": [1, 2], "differentials": [[[1, 1]]],
+      "filtration": [[[[1]]], [[[1], [0, 1]]]]},
+     "1 entries for a vector of width 2"),
+    ({"field": "Q", "dims": [1, 1], "differentials": [["1"]]},
+     "vector '1' is not a list"),
 ])
 def test_ss_malformed_json_is_a_usage_error(tmp_path, capsys, doc, why):
     path = tmp_path / "bad.json"

@@ -70,7 +70,8 @@ class DenseEchelon:
             return False
         inv = F.inv(res[lead])
         vec = [F.mul(inv, x) for x in res]
-        combo = {k: F.neg(F.mul(inv, a)) for k, a in combo.items()}
+        combo = {k: F.sub(F.zero, F.mul(inv, a))
+                 for k, a in combo.items()}
         combo[mine] = inv
         self.rows[lead] = (vec, combo)
         return True

@@ -2,11 +2,13 @@
 
 Every public function, class and method of ``qmcoh`` is read somewhere
 in the package outside its own definition, so no public entry point
-lives only for the tests; and every name a module of the package or of
-the tests imports is read in that module. Both read code, not text: a
-name is read where it occurs as an ``ast`` ``Name`` or ``Attribute``
-node, which covers expressions inside f-strings but not docstrings or
-comments.
+lives only for the tests; so is every private (single-underscore)
+top-level function and method, so no helper outlives its last caller;
+and every name a module of the package or of the tests imports is read
+in that module. All three read code, not text: a name is read where it
+occurs as an ``ast`` ``Name`` or ``Attribute`` node, which covers
+expressions inside f-strings but not docstrings or comments. A
+decorated definition counts as read, since the decorator receives it.
 """
 
 import ast
@@ -19,12 +21,11 @@ TESTS = Path(__file__).parent
 
 # Reached only by tests today; ROADMAP item 2 (the benchmark revision)
 # deletes the linalg helpers together with their bindings in
-# perfbench/tracing.py, takes the homogeneous cochain picture with them,
-# and decides whether lemma3_check becomes a spectral identity.
+# perfbench/tracing.py, and takes the homogeneous cochain picture with
+# them.
 DEFERRED = {
     "in_span", "subspace_sum", "intersect",
     "homogeneous_coboundary", "to_homogeneous", "to_inhomogeneous",
-    "lemma3_check",
 }
 
 
@@ -51,6 +52,41 @@ def public_definitions(tree):
                     yield item.name, item.lineno, item.end_lineno
 
 
+def private_definitions(tree):
+    """(name, first line, last line) of each undecorated private
+    top-level function and each undecorated private method."""
+    def private(node):
+        return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__")
+                and not node.decorator_list)
+
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        for item in members:
+            if private(item):
+                yield item.name, item.lineno, item.end_lineno
+
+
+def unread_definitions(definitions):
+    """Names from ``definitions`` that no package code reads outside
+    the definition itself."""
+    trees = {p: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    occurrences = {p: list(reads(tree)) for p, tree in trees.items()}
+    unused = set()
+    for path, tree in trees.items():
+        for name, first, last in definitions(tree):
+            used = any(
+                read == name
+                for other, found in occurrences.items()
+                for read, line in found
+                if other != path or not first <= line <= last
+            )
+            if not used:
+                unused.add(name)
+    return unused
+
+
 def imported_names(tree):
     """(bound name, line) of each import outside ``__future__``."""
     for node in ast.walk(tree):
@@ -63,20 +99,11 @@ def imported_names(tree):
 
 
 def test_every_public_name_is_used_inside_the_package():
-    trees = {p: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
-    occurrences = {p: list(reads(tree)) for p, tree in trees.items()}
-    unused = set()
-    for path, tree in trees.items():
-        for name, first, last in public_definitions(tree):
-            used = any(
-                read == name
-                for other, found in occurrences.items()
-                for read, line in found
-                if other != path or not first <= line <= last
-            )
-            if not used:
-                unused.add(name)
-    assert unused == DEFERRED
+    assert unread_definitions(public_definitions) == DEFERRED
+
+
+def test_every_private_helper_is_used_inside_the_package():
+    assert unread_definitions(private_definitions) == set()
 
 
 def test_every_imported_name_is_read():

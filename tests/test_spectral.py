@@ -1,10 +1,14 @@
+import hashlib
+import itertools
 import json
 import random
 
 import pytest
 
 from qmcoh.errors import BudgetExceeded, InvariantViolation
+from qmcoh.extensions import ExtensionData
 from qmcoh.fixtures import z4_extension
+from qmcoh.groups import FiniteGroup
 from qmcoh.linalg import FIELDS, vector_ops
 from qmcoh.spectral import (DEFAULT_BUDGET_MB, ENTRY_BYTES_PRIME,
                             ENTRY_BYTES_RATIONAL, FiniteComplex, Filtration,
@@ -12,7 +16,7 @@ from qmcoh.spectral import (DEFAULT_BUDGET_MB, ENTRY_BYTES_PRIME,
                             complex_from_json,
                             complex_to_json, e_infinity_check,
                             hs_double_complex, hs_memory_estimate_mb,
-                            hs_row_filtration, lemma3_check,
+                            hs_row_filtration,
                             memory_budget_mb, random_filtered_complex,
                             sequence_report)
 
@@ -75,23 +79,6 @@ def test_nonsplit_extension_has_a_transgression():
     assert ENGINE.dim(3, 0, 1) == 0
 
 
-def test_lemma3_skips_when_middle_column_survives():
-    report = lemma3_check(ENGINE, 2)
-    assert report["status"] == "skipped"
-    assert report["reason"] == "hypothesis not met, skipped"
-    assert report["witness"]["q"] == 1
-
-
-def test_lemma3_checked_on_vanishing_column():
-    # filtering every degree at full depth concentrates E_0 in q = 0
-    pure = Filtration(CX, [[n] * d for n, d in enumerate(CX.dims)])
-    engine = SpectralSequence(CX, pure)
-    report = lemma3_check(engine, 2)
-    assert report["status"] == "checked"
-    assert report["ok"]
-    assert len(report["checks"]) == 6
-
-
 def test_row_filtration_degenerates_immediately():
     # filtering by fiber degree kills everything above the bottom row on
     # the first page: the row coefficients are free over the quotient
@@ -130,6 +117,97 @@ def test_double_complex_over_odd_characteristic():
     assert cx3.dims == [2, 12, 56, 240]
     engine = SpectralSequence(cx3, filt3)
     assert engine.dim(1, 0, 0) == 1
+
+
+def _s3_extension():
+    """A3 -> S3 -> Z/2, S3 as the Cayley table of the permutations of
+    three points, the quotient the sign."""
+    perms = list(itertools.permutations(range(3)))  # identity first
+    index = {perm: i + 1 for i, perm in enumerate(perms)}
+    table = [[index[tuple(a[k] for k in b)] for b in perms] for a in perms]
+    rotations = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+    include = {k + 1: index[r] for k, r in enumerate(rotations)}
+    fiber_of = {x: k for k, x in include.items()}
+    return ExtensionData(
+        FiniteGroup(table, name="s3"), FiniteGroup.cyclic(2),
+        FiniteGroup.cyclic(3),
+        sigma=lambda x: 1 if x in fiber_of else 2,
+        include=include.__getitem__, fiber_of=fiber_of.__getitem__,
+        section={1: 1, 2: index[(1, 0, 2)]}.__getitem__,
+        check_samples=(1, 2), name="a3-s3")
+
+
+def _z6_extension(fiber: int):
+    """Z/fiber -> Z/6 -> Z/(6/fiber); element k of a cyclic table is the
+    residue k - 1, and the section lifts residue r to residue r."""
+    quotient = 6 // fiber
+    include = {k: (k - 1) * quotient + 1 for k in range(1, fiber + 1)}
+    fiber_of = {x: k for k, x in include.items()}
+    return ExtensionData(
+        FiniteGroup.cyclic(6), FiniteGroup.cyclic(quotient),
+        FiniteGroup.cyclic(fiber),
+        sigma=lambda x: (x - 1) % quotient + 1,
+        include=include.__getitem__, fiber_of=fiber_of.__getitem__,
+        section=lambda alpha: alpha,
+        check_samples=tuple(range(1, quotient + 1)), name=f"z{fiber}-z6")
+
+
+EXTENSIONS = {"a3-s3": _s3_extension,
+              "z3-z6": lambda: _z6_extension(3),
+              "z2-z6": lambda: _z6_extension(2)}  # three cosets
+
+
+@pytest.mark.parametrize("ext, name, cohomology", [
+    # H^*(S3; F2) is H^*(Z/2; F2); over F3 it is H^*(Z/3; F3)^{Z/2},
+    # which starts again in degree 3
+    ("a3-s3", "F2", [1, 1, 1, 1]),
+    ("a3-s3", "F3", [1, 0, 0, 1]),
+    # Z/6 = Z/2 x Z/3, so H^n(Z/6; F_p) = H^n(Z/p; F_p) is a line
+    ("z3-z6", "F2", [1, 1, 1, 1]),
+    ("z3-z6", "F3", [1, 1, 1, 1]),
+    ("z2-z6", "F2", [1, 1, 1, 1]),
+    ("z2-z6", "F3", [1, 1, 1, 1]),
+])
+def test_double_complex_computes_the_cohomology_of_the_ambient_group(
+        ext, name, cohomology):
+    cx, filt, _ = hs_double_complex(EXTENSIONS[ext](), field=FIELDS[name],
+                                    max_total=4)
+    assert [cx.homology_dim(n) for n in range(4)] == cohomology
+    engine = SpectralSequence(cx, filt)
+    for n in range(4):
+        assert e_infinity_check(engine, n)["ok"], n
+
+
+def _complex_digest(cx, filt):
+    """sha256 of the dims, each column as sorted (index, str(value))
+    pairs, and the levels."""
+    def pairs(col):
+        if isinstance(col, int):  # a GF(2) column, bit i is coordinate i
+            bits = reversed(bin(col)[2:])
+            return [[i, "1"] for i, bit in enumerate(bits) if bit == "1"]
+        return sorted([i, str(x)] for i, x in col.items())
+
+    doc = [cx.dims, [[pairs(col) for col in cols] for cols in cx.diffs],
+           filt.levels]
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name, max_total, digest", [
+    ("F2", 5,
+     "65558d037e6261d3485ca0d6d183b032f7aeb9730541f3fe612257ec5a57821e"),
+    ("F3", 4,
+     "84a313e662584fd68fd98c6862c18f0bc44fcb95b69b304288ff3d3dd42f30cd"),
+    ("Q", 3,
+     "712e72179b07dcbf9bf9ea2d2d0083aea2a13d54a35ea8d6a6c575e62ede0323"),
+])
+def test_double_complex_is_pinned_column_by_column(name, max_total, digest):
+    # the page tables under perfbench/ref/ would not see a column move
+    if name == "F2" and max_total == 5:
+        cx, filt = CX, FILT
+    else:
+        cx, filt, _ = hs_double_complex(z4_extension(), field=FIELDS[name],
+                                        max_total=max_total)
+    assert _complex_digest(cx, filt) == digest
 
 
 def test_budget_cap_refuses_oversized_builds(monkeypatch):
