@@ -399,7 +399,9 @@ def rank_of(ops, vectors) -> int:
 
 def relations(ops, vectors):
     """Basis of {a : sum a_i vectors_i = 0}, as vectors of the
-    coefficient space of ``vectors``."""
+    coefficient space of ``vectors``. The relations are independent
+    without a further reduction: the one found at a vector that did not
+    enlarge the span is the only one with a nonzero entry there."""
     cops = vector_ops(ops.field, len(vectors))
     ech = ops.echelon()
     out = []
@@ -410,20 +412,23 @@ def relations(ops, vectors):
     return out
 
 
-def solve_coords(ops, basis, v):
-    """Coefficient vector expressing v over basis, or None. The basis
-    must be independent for the answer to be canonical."""
+def solve_coords(ops, basis, vectors):
+    """The coefficient vector over basis of each of ``vectors``, or None
+    for one outside the span; one echelon answers the whole list. Only
+    the basis vectors that enlarge the span get coefficients, so the
+    answer is canonical on an independent prefix of the basis."""
     ech = ops.echelon()
     for b in basis:
         ech.add(b)
-    res, coeffs = ech.reduce(v)
-    if not ops.is_zero(res):
-        return None
-    return coeffs
+    out = []
+    for v in vectors:
+        res, coeffs = ech.reduce(v)
+        out.append(coeffs if ops.is_zero(res) else None)
+    return out
 
 
 def in_span(ops, basis, v) -> bool:
-    return solve_coords(ops, basis, v) is not None
+    return solve_coords(ops, basis, [v])[0] is not None
 
 
 def subspace_sum(ops, *parts):

@@ -11,12 +11,15 @@ complexes, JSON input) is rewritten in an adapted basis, once, by
 ``adapt_filtration``. Pages come from the classical lattice
 
     Z_r = F^p  meet  d^{-1}(F^{p+r}),
-    B_r = F^p  meet  d(F^{p-r}),
+    B_r = F^p  meet  d(F^{p-r})  =  d(Z_r[p-r]),
     E_r = Z_r / (Z_{r-1}[p+1] + B_{r-1}),
 
-with the induced differential d_r evaluated on chosen coset
-representatives. Everything is exact arithmetic; there is no floating
-point anywhere below.
+so boundaries are read off cached cycles (F^{p-r} is F^0 for p < r),
+and the induced differential d_r is evaluated on chosen coset
+representatives, one solve per target cell. Spans are kept as lists
+and reduced only where a basis is read. A level may exceed its degree:
+cells with q < 0 are cells like any other. Everything is exact
+arithmetic; there is no floating point anywhere below.
 
 The double complex of a finite group extension is instantiated with
 trivial one-dimensional coefficients: horizontal cochains on the
@@ -201,12 +204,9 @@ def adapt_filtration(cx: FiniteComplex, bases):
         picked.sort(key=lambda pv: pv[0])
         levels.append([p for p, _ in picked])
         adapted.append([v for _, v in picked])
-    diffs = []
-    for n in range(cx.max_degree):
-        target = cx.ops[n + 1].echelon()
-        for b in adapted[n + 1]:
-            target.add(b)
-        diffs.append([target.reduce(cx.apply(n, b))[1] for b in adapted[n]])
+    diffs = [solve_coords(cx.ops[n + 1], adapted[n + 1],
+                          [cx.apply(n, b) for b in adapted[n]])
+             for n in range(cx.max_degree)]
     # a change of basis keeps d.d = 0, which cx has already passed
     new = FiniteComplex(cx.field, cx.dims, diffs, check=False)
     return new, Filtration(new, levels, check=True)
@@ -224,16 +224,10 @@ class SpectralSequence:
         self.filt = filt
         self._z: dict = {}
         self._b: dict = {}
-        self._den: dict = {}
         self._reps: dict = {}
         self._dmat: dict = {}
 
     # ----------------------------------------------------------- lattice
-
-    def _image_list(self, level: int, n: int):
-        """d of the coordinates of F^level K^n: columns of ``cx.diffs[n]``."""
-        cols = self.cx.diffs[n]
-        return [cols[i] for i in self.filt.coordinates(level, n)]
 
     def cycles(self, r: int, p: int, q: int):
         """Z_r^{p,q}: vectors of F^p whose differential lies r deeper."""
@@ -251,41 +245,37 @@ class SpectralSequence:
             return base
         if n == self.cx.max_degree:
             raise ValueError("cycle condition needs the next differential")
-        rows = vectors_into_coordspan(self.cx.ops[n + 1],
-                                      self._image_list(p, n),
-                                      self.filt.mask_at(level, n + 1))
-        src = self.cx.ops[n]
-        got = span_reduce(src, [src.combine(row, base) for row in rows])
+        cols = self.cx.diffs[n]
+        rows = vectors_into_coordspan(
+            self.cx.ops[n + 1], [cols[i] for i in self.filt.coordinates(p, n)],
+            self.filt.mask_at(level, n + 1))
+        # independent relations over distinct unit vectors stay independent
+        got = [self.cx.ops[n].combine(row, base) for row in rows]
         self._z[key] = got
         return got
 
     def boundaries(self, r: int, p: int, q: int):
-        """B_r^{p,q} = F^p meet d(F^{p-r})."""
+        """B_r^{p,q} = F^p meet d(F^{p-r}) = d(Z_{p-l}^{l}), l = max(p - r,
+        0): the image of the cycles of F^l whose differential lies in
+        F^p. d kills some of those cycles, so the images are reduced here,
+        once per cell."""
         n = p + q
         if n <= 0 or n > self.cx.max_degree:
             return []
         level = max(p - r, 0)
         key = (p, q, level)
-        if key in self._b:
-            return self._b[key]
-        ops = self.cx.ops[n]
-        images = self._image_list(level, n - 1)
-        if p <= 0:
-            got = span_reduce(ops, images)
-        else:
-            rows = vectors_into_coordspan(ops, images, self.filt.mask_at(p, n))
-            got = span_reduce(ops, [ops.combine(row, images) for row in rows])
-        self._b[key] = got
-        return got
+        if key not in self._b:
+            z = self.cycles(p - level, level, n - 1 - level)
+            self._b[key] = span_reduce(
+                self.cx.ops[n], [self.cx.apply(n - 1, v) for v in z])
+        return self._b[key]
 
     def _denominator(self, r: int, p: int, q: int):
-        key = (r, p, q)
-        if key not in self._den:
-            ops = self.cx.ops[p + q]
-            self._den[key] = span_reduce(
-                ops, self.cycles(r - 1, p + 1, q - 1)
+        """Z_{r-1}^{p+1} + B_{r-1}^p as a spanning list, unreduced: the
+        representatives complement it, so solving over representatives
+        then denominator gives canonical coordinates on the former."""
+        return (self.cycles(r - 1, p + 1, q - 1)
                 + self.boundaries(r - 1, p, q))
-        return self._den[key]
 
     def representatives(self, r: int, p: int, q: int):
         key = (r, p, q)
@@ -312,31 +302,24 @@ class SpectralSequence:
         key = (r, p, q)
         if key in self._dmat:
             return self._dmat[key]
-        reps = self.representatives(r, p, q)
         tp, tq = p + r, q - r + 1
-        ops = self.cx.ops[n + 1]
-        if tq < 0:
-            tden: list = []
-            treps: list = []
-        else:
-            tden = self._denominator(r, tp, tq)
-            treps = self.representatives(r, tp, tq)
+        tden = self._denominator(r, tp, tq)
+        treps = self.representatives(r, tp, tq)
         k, width = len(treps), len(treps) + len(tden)
         cops = vector_ops(self.cx.field, width)
         den = cops.mask(range(k, width))
-        cols = []
-        for x in reps:
-            coords = solve_coords(ops, treps + tden, self.cx.apply(n, x))
-            if coords is None:
-                raise InvariantViolation(
-                    f"d_{r} escaped its target cell at (p={p}, q={q})")
-            cols.append(cops.outside(coords, den))
+        images = [self.cx.apply(n, x) for x in self.representatives(r, p, q)]
+        coords = solve_coords(self.cx.ops[n + 1], treps + tden, images)
+        if None in coords:
+            raise InvariantViolation(
+                f"d_{r} escaped its target cell at (p={p}, q={q})")
+        cols = [cops.outside(c, den) for c in coords]
         got = (cols, k)
         self._dmat[key] = got
         return got
 
     def d_rank(self, r: int, p: int, q: int) -> int:
-        if p < 0 or q < 0:
+        if p < 0:
             return 0
         cols, height = self.d_data(r, p, q)
         return matrix_rank(self.cx.field, cols, height)
@@ -607,10 +590,9 @@ def random_filtered_complex(seed: int):
         # the normal form's d: zero on [h | image], source j -> image j
         normal_d = ([ops_tgt.zero_vec] * src_start
                     + change[n + 1][img_start:img_start + bnd[n]])
-        diffs.append([
-            ops_tgt.combine(solve_coords(ops_src, change[n],
-                                         ops_src.basis_vector(k)), normal_d)
-            for k in range(dims[n])])
+        inverse = solve_coords(ops_src, change[n], [
+            ops_src.basis_vector(k) for k in range(dims[n])])
+        diffs.append([ops_tgt.combine(c, normal_d) for c in inverse])
 
     cx = FiniteComplex(field, dims, diffs, check=True)
     # vector k of each F^p basis also takes random multiples of the later

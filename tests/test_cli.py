@@ -169,6 +169,20 @@ def test_ss_finite_fixture_converges(capsys):
     assert "field F2, dims [2, 12, 56, 240, 992, 4032]" in out
 
 
+# F2, d: degree 0 -> 1 an isomorphism, with the one vector of degree 1
+# at level 2: a filtration level above its degree
+LEVEL_ABOVE_DEGREE = {
+    "field": "F2", "dims": [1, 1, 1], "differentials": [[[1]], [[0]]],
+    "filtration": [[[[1]]], [[[1]], [[1]], [[1]]], [[[1]]]]}
+
+
+def test_ss_takes_a_level_above_its_degree(tmp_path, capsys):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(LEVEL_ABOVE_DEGREE))
+    rc, out, _ = run(capsys, "ss", str(path))
+    assert rc == 0 and "converged: yes" in out
+
+
 def test_ss_random_round_trips_through_json(tmp_path, capsys):
     saved = tmp_path / "complex.json"
     rc, out1, _ = run(capsys, "ss", "random", "--seed", "11",

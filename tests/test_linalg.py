@@ -174,9 +174,8 @@ def test_sparse_backend_matches_the_dense_reference(problem):
     independent = [r for r, v in zip(rows, dv) if ech.add(v)]
     for basis in (rows, independent):
         assert solve_coords(sparse, vecs(sparse, basis),
-                            sparse.from_entries(target)) == \
-            solve_coords(dense, vecs(dense, basis),
-                         dense.from_entries(target))
+                            vecs(sparse, [target] + rows)) == \
+            solve_coords(dense, vecs(dense, basis), vecs(dense, [target] + rows))
     assert vectors_into_coordspan(sparse, sv, sparse.mask(axes)) == \
         vectors_into_coordspan(dense, dv, dense.mask(axes))
 
@@ -259,6 +258,8 @@ def test_relations_recombine_to_zero():
             assert rel == cops.from_entries(cops.entries(rel)), name
             assert not cops.is_zero(rel), name
             assert ops.is_zero(ops.combine(rel, u)), name
+        # independent as they come, with no reduction
+        assert rank_of(cops, rels) == len(rels), name
 
 
 def test_solve_coords_roundtrip():
@@ -269,17 +270,50 @@ def test_solve_coords_roundtrip():
         basis = span_reduce(ops, vecs(
             ops, [[rng.randrange(5) for _ in range(5)] for _ in range(3)]))
         cops = vector_ops(field, len(basis))
-        coeffs = cops.from_entries([rng.randrange(1, 4) for _ in basis])
-        v = ops.combine(coeffs, basis)
-        got = solve_coords(ops, basis, v)
+        coeffs = [cops.from_entries([rng.randrange(1, 4) for _ in basis])
+                  for _ in range(4)]
+        vs = [ops.combine(c, basis) for c in coeffs]
+        got = solve_coords(ops, basis, vs)
         assert got == coeffs  # the basis is independent
-        assert ops.combine(got, basis) == v
+        assert [ops.combine(c, basis) for c in got] == vs
 
 
 def test_solve_coords_detects_outsiders():
     ops = vector_ops(GF2, 3)
     basis = vecs(ops, [[1, 0, 0], [0, 1, 0]])
-    assert solve_coords(ops, basis, ops.from_entries([0, 0, 1])) is None
+    assert solve_coords(ops, basis, vecs(ops, [[0, 0, 1]])) == [None]
+    # a mixed list keeps its order, each outsider None in its own slot
+    mixed = vecs(ops, [[1, 1, 0], [0, 1, 1], [0, 0, 0], [1, 1, 1], [0, 1, 0]])
+    assert solve_coords(ops, basis, mixed) == [0b11, None, 0, None, 0b10]
+    assert solve_coords(ops, basis, []) == []
+
+
+def test_solve_coords_is_canonical_on_an_independent_prefix():
+    # the prefix coefficients do not see whether the tail was reduced
+    rng = random.Random(11)
+    for name in ("F2", "F3", "Q"):
+        field = FIELDS[name]
+        ops = vector_ops(field, 5)
+
+        def rand():
+            return ops.from_entries([rng.randrange(3) for _ in range(5)])
+
+        prefix = span_reduce(ops, [rand(), rand()])
+        a, b = rand(), rand()
+        tail = [a, b, ops.add(a, b), a, prefix[0], rand()]
+        reduced = span_reduce(ops, tail)
+        assert len(reduced) < len(tail), name
+        span = prefix + tail
+        vs = [ops.combine(vector_ops(field, len(span)).from_entries(
+            [rng.randrange(3) for _ in span]), span) for _ in range(6)]
+
+        def on_prefix(basis):
+            cops = vector_ops(field, len(basis))
+            tail_axes = cops.mask(range(len(prefix), len(basis)))
+            return [cops.outside(c, tail_axes)
+                    for c in solve_coords(ops, basis, vs)]
+
+        assert on_prefix(span) == on_prefix(prefix + reduced), name
 
 
 def test_intersection_of_planes_is_a_line():

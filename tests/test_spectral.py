@@ -9,9 +9,10 @@ from qmcoh.errors import BudgetExceeded, InvariantViolation
 from qmcoh.extensions import ExtensionData
 from qmcoh.fixtures import z4_extension
 from qmcoh.groups import FiniteGroup
-from qmcoh.linalg import FIELDS, vector_ops
-from qmcoh.spectral import (DEFAULT_BUDGET_MB, ENTRY_BYTES_PRIME,
-                            ENTRY_BYTES_RATIONAL, FiniteComplex, Filtration,
+from qmcoh.linalg import FIELDS, rank_of, vector_ops
+from qmcoh.spectral import (DEFAULT_BUDGET_MB, DEFAULT_WINDOW,
+                            ENTRY_BYTES_PRIME, ENTRY_BYTES_RATIONAL,
+                            FiniteComplex, Filtration,
                             SpectralSequence, adapt_filtration,
                             complex_from_json,
                             complex_to_json, e_infinity_check,
@@ -178,16 +179,18 @@ def test_double_complex_computes_the_cohomology_of_the_ambient_group(
         assert e_infinity_check(engine, n)["ok"], n
 
 
+def _pairs(col):
+    """A column as sorted (index, str(value)) pairs."""
+    if isinstance(col, int):  # a GF(2) column, bit i is coordinate i
+        bits = reversed(bin(col)[2:])
+        return [[i, "1"] for i, bit in enumerate(bits) if bit == "1"]
+    return sorted([i, str(x)] for i, x in col.items())
+
+
 def _complex_digest(cx, filt):
     """sha256 of the dims, each column as sorted (index, str(value))
     pairs, and the levels."""
-    def pairs(col):
-        if isinstance(col, int):  # a GF(2) column, bit i is coordinate i
-            bits = reversed(bin(col)[2:])
-            return [[i, "1"] for i, bit in enumerate(bits) if bit == "1"]
-        return sorted([i, str(x)] for i, x in col.items())
-
-    doc = [cx.dims, [[pairs(col) for col in cols] for cols in cx.diffs],
+    doc = [cx.dims, [[_pairs(col) for col in cols] for cols in cx.diffs],
            filt.levels]
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
 
@@ -208,6 +211,58 @@ def test_double_complex_is_pinned_column_by_column(name, max_total, digest):
         cx, filt, _ = hs_double_complex(z4_extension(), field=FIELDS[name],
                                         max_total=max_total)
     assert _complex_digest(cx, filt) == digest
+
+
+def _d_data_digest(cx, filt):
+    """sha256 of (r, p, q, height, columns as pairs) of every induced
+    differential of the report window, r = 0..4."""
+    engine = SpectralSequence(cx, filt)
+    top = min(DEFAULT_WINDOW, cx.max_degree - 2)
+    doc = []
+    for r in range(5):
+        for n in range(top + 1):
+            for p in range(n + 1):
+                cols, height = engine.d_data(r, p, n - p)
+                doc.append([r, p, n - p, height, [_pairs(c) for c in cols]])
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case, digest", [
+    (("F2", 5),
+     "d60b47ebd72fc96d876ce34025f4479d245f28d64c6d3122d1b4f299e466b0d1"),
+    (("F3", 4),
+     "8f72bf2b0cddd867d6449af9013334d0d4fe48fa5e657e326a2fc1963b370639"),
+    (("Q", 3),
+     "72b8d37e779b8259d260db75b562db39e50bb7209c3f9b685574003763404ab8"),
+    (0,
+     "820e600f741f006f89524461a756401ec7436e032e6883d57bdbe912dce966c0"),
+    (1,
+     "d800285adb95b38a64baed77dcf1713a7a9ee29a393efb495971da856e525ddb"),
+    (2,
+     "c94ae657fbbf402c2c149e95cc05d8d7c10b32d5e9c3dea8ee36762575428313"),
+    (3,
+     "f7fa710343a90b2299688bc2c939839c71282f9aa33bc6f98aac490a11096738"),
+    (4,
+     "d63abb0c28e95f2331d5e689b57b0dbe0b9c75f607e6af038119f0bc31b4f924"),
+    (5,
+     "35f33831ac3efa346af2142d95ffeb52fda310acbcb339fdf08766e618990dfb"),
+    (6,
+     "406ff8d5c30652146238d8ca8bab2cb63fa7cfd1a279aa86c9a725ebeec14a17"),
+    (7,
+     "e5cb3ff5c2acac742b19ea81c1be6c6a4048405ce78131e712c0c7111437f088"),
+])
+def test_induced_differentials_are_pinned_column_by_column(case, digest):
+    # d_squared_ok composes these columns, so they are pinned beyond the
+    # ranks in the page refs; the random cases go through
+    # adapt_filtration
+    if isinstance(case, int):
+        cx, filt, _ = random_filtered_complex(case)
+    elif case == ("F2", 5):
+        cx, filt = CX, FILT
+    else:
+        cx, filt, _ = hs_double_complex(z4_extension(), field=FIELDS[case[0]],
+                                        max_total=case[1])
+    assert _d_data_digest(cx, filt) == digest
 
 
 def test_budget_cap_refuses_oversized_builds(monkeypatch):
@@ -267,6 +322,44 @@ def test_random_complexes_page_consistency():
             for n in range(cx.max_degree - 1):
                 for p in range(n + 1):
                     assert engine.consistency_ok(r, p, n - p), (seed, r, p, n)
+
+
+def test_boundaries_are_the_filtered_images():
+    # B_r^{p,q} = F^p meet d(F^{p-r}), told apart by ranks alone: inside
+    # F^p, inside the images of F^{max(p-r,0)}, and as large as the
+    # intersection's dimension formula says
+    cases = [random_filtered_complex(seed)[:2] for seed in range(16)]
+    cases.append(hs_double_complex(z4_extension(), field=FIELDS["F3"],
+                                   max_total=4)[:2])
+    for cx, filt in cases:
+        engine = SpectralSequence(cx, filt)
+        for r in range(5):
+            for n in range(min(DEFAULT_WINDOW, cx.max_degree - 1) + 1):
+                ops = cx.ops[n]
+                for p in range(n + 1):
+                    got = engine.boundaries(r, p, n - p)
+                    assert all(filt.contains(p, n, v) for v in got)
+                    src = filt.coordinates(max(p - r, 0), n - 1) if n else []
+                    images = [cx.diffs[n - 1][i] for i in src]
+                    space = filt.space(p, n)
+                    image_rank = rank_of(ops, images)
+                    assert rank_of(ops, got + images) == image_rank
+                    assert rank_of(ops, got) == len(space) + image_rank \
+                        - rank_of(ops, space + images), (r, p, n)
+
+
+def test_cells_below_the_first_quadrant_take_part():
+    # d: degree 0 -> 1 is an isomorphism onto a vector of level 2, so
+    # the class of degree 0 dies by d_2 into the cell (2, -1)
+    ops = vector_ops(FIELDS["F2"], 1)
+    cx = FiniteComplex(FIELDS["F2"], [1, 1, 1], [[ops.basis_vector(0)],
+                                                 [ops.zero_vec]])
+    engine = SpectralSequence(cx, Filtration(cx, [[0], [2], [0]]))
+    assert [engine.dim(r, 0, 0) for r in range(4)] == [1, 1, 1, 0]
+    assert engine.d_rank(2, 0, 0) == 1
+    for r in range(5):
+        assert engine.consistency_ok(r, 0, 0), r
+    assert e_infinity_check(engine, 1)["ok"]
 
 
 def test_random_generator_is_deterministic():
