@@ -22,11 +22,18 @@ elements share a dict key. User-built chains, ``Chain.basis``,
 homomorphism can send a root to a proper power or to the identity) all
 pass through it. Sums, differences, scalings and boundaries start from
 canonical supports and build their results directly.
+
+``m_chain`` and ``m2_chain`` are memoized (a bounded LRU cache per
+process), so equal arguments return the same ``Chain`` object to every
+caller. Every operation builds a new chain and none writes to an
+existing one: a ``Chain``'s ``support``, ``tails`` and ``tail_bound``
+are never mutated after construction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import words
@@ -149,8 +156,17 @@ class Chain:
             self.tail_bound + other.tail_bound,
         )
 
-    def __sub__(self, other):
-        return self + (-other)
+    def __sub__(self, other: "Chain") -> "Chain":
+        if self.group is not other.group or self.degree != other.degree:
+            raise ValueError("chain mismatch")
+        return Chain._of(
+            self.group, self.degree,
+            _accumulate(dict(self.support),
+                        ((t, -c) for t, c in other.support.items())),
+            self.tails + tuple(t._replace(coeff=-t.coeff)
+                               for t in other.tails),
+            self.tail_bound + other.tail_bound,
+        )
 
     def __eq__(self, other):
         return (
@@ -198,6 +214,7 @@ def boundary(z: Chain) -> Chain:
                      (n + 1) * z.tail_bound)
 
 
+@lru_cache(maxsize=256)
 def m_chain(group: Group, g, N: int) -> Chain:
     """Truncated telescoping power series for g in degree 2.
 
@@ -224,6 +241,7 @@ def m_chain(group: Group, g, N: int) -> Chain:
     )
 
 
+@lru_cache(maxsize=256)
 def m2_chain(group: Group, g, h, N: int) -> Chain:
     """[g|h] - m(g) + m(gh) - m(h); support norm at most 4, tail mass at
     most 3 * 2^-N."""

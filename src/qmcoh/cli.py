@@ -65,15 +65,34 @@ def _check_at_least(value: int, least: int, flag: str) -> None:
         raise CliError(f"{flag} must be >= {least}, got {value}")
 
 
+def _cannot_write(path: str, ex: OSError) -> CliError:
+    return CliError(f"cannot write --out {path}: {ex.strerror or ex}")
+
+
 @contextlib.contextmanager
-def _out_file(path: str):
-    """The --out file, opened for writing; an I/O error is a usage error."""
+def _out_file(path: str | None):
+    """Open the --out file before the work that fills it, so that a path
+    that cannot be written fails before any work runs; yields a
+    ``write(text)`` function, or None when no path is given. An I/O
+    error opening or writing the file is a usage error; an error raised
+    by the work in between passes through unchanged."""
+    if not path:
+        yield None
+        return
     try:
-        with open(path, "w") as fh:
-            yield fh
+        fh = open(path, "w")
     except OSError as ex:
-        raise CliError(
-            f"cannot write --out {path}: {ex.strerror or ex}") from ex
+        raise _cannot_write(path, ex) from ex
+
+    def write(text: str) -> None:
+        try:
+            fh.write(text)
+            fh.flush()  # so that a full disk fails here, not at close
+        except OSError as ex:
+            raise _cannot_write(path, ex) from ex
+
+    with fh:
+        yield write
 
 
 # ------------------------------------------------------------------- qm
@@ -119,16 +138,16 @@ def _cmd_verify(args) -> int:
         for ident, suite, law in registry_rows():
             print(f"{ident:26} {suite:9} {law}")
         return 0
-    report = run_suite(
-        suite=args.suite, fixture=args.fixture, seed=args.seed,
-        samples=args.samples, cutoff=args.cutoff_n, window=args.window,
-        n_max=args.nmax, timings=args.timings,
-    )
-    text = report_json(report)
-    sys.stdout.write(text)
-    if args.out:
-        with _out_file(args.out) as fh:
-            fh.write(text)
+    with _out_file(args.out) as write_out:
+        report = run_suite(
+            suite=args.suite, fixture=args.fixture, seed=args.seed,
+            samples=args.samples, cutoff=args.cutoff_n, window=args.window,
+            n_max=args.nmax, timings=args.timings,
+        )
+        text = report_json(report)
+        sys.stdout.write(text)
+        if write_out:
+            write_out(text)
     return 0 if report["passed"] else 1
 
 
@@ -185,12 +204,13 @@ def _cmd_ss(args) -> int:
     _check_at_least(args.max_r, 0, "--max-r")
     _check_at_least(args.window, 0, "--window")
     cx, filt = _load_complex(args)
-    report = sequence_report(cx, filt, window=args.window, max_r=args.max_r)
-    _print_ss(report)
-    if args.out:
-        with _out_file(args.out) as fh:
-            json.dump(complex_to_json(cx, filt), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    with _out_file(args.out) as write_out:
+        report = sequence_report(cx, filt, window=args.window,
+                                 max_r=args.max_r)
+        _print_ss(report)
+        if write_out:
+            write_out(json.dumps(complex_to_json(cx, filt), indent=2,
+                                 sort_keys=True) + "\n")
     return 0
 
 

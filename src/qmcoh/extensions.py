@@ -46,7 +46,9 @@ class AbstractKernel:
 
     The pair is expected to satisfy f-normalization and the composition
     law psi(a) psi(b) = i_{f(a,b)} psi(ab); neither is enforced at
-    construction (``TwistedProduct.law_defect`` samples the law).
+    construction (``TwistedProduct.law_defect`` samples the law). Both
+    maps are memoized, psi per alpha and f per (alpha, beta), so each
+    must be a pure function of its arguments.
     """
 
     def __init__(self, pi: Group, g: Group, psi, f, name: str = "kernel"):
@@ -55,6 +57,7 @@ class AbstractKernel:
         self._psi = psi
         self._f = f
         self._cache: dict = {}
+        self._f_cache: dict = {}
         self.name = name
 
     def psi(self, alpha) -> Automorphism:
@@ -65,7 +68,11 @@ class AbstractKernel:
         return aut
 
     def f(self, alpha, beta):
-        return self._f(alpha, beta)
+        value = self._f_cache.get((alpha, beta))
+        if value is None:
+            value = self._f(alpha, beta)
+            self._f_cache[alpha, beta] = value
+        return value
 
     def conjugate_by(self, h) -> "AbstractKernel":
         """The kernel with lift i_{h(a)} . psi(a) and the matching

@@ -618,14 +618,16 @@ def sequence_report(cx: FiniteComplex, filt: Filtration,
                     window: int = DEFAULT_WINDOW,
                     max_r: int = DEFAULT_MAX_R) -> dict:
     """Deterministic summary: page dimension tables, differential ranks,
-    page-homology consistency, and the stable-page/homology comparison."""
+    page-homology consistency, and the stable-page/homology comparison.
+    Total degree n lists the cells p = 0..max(n, level_bound(n)), so a
+    filtration level above its degree shows its q < 0 cells too."""
     engine = SpectralSequence(cx, filt)
     window = min(window, cx.max_degree - 1)
     pages = []
     for r in range(max_r + 1):
         cells = []
         for n in range(window + 1):
-            for p in range(n + 1):
+            for p in range(max(n, filt.level_bound(n)) + 1):
                 q = n - p
                 entry = {"p": p, "q": q, "dim": engine.dim(r, p, q)}
                 if n <= cx.max_degree - 2:
@@ -635,7 +637,7 @@ def sequence_report(cx: FiniteComplex, filt: Filtration,
     consistency = []
     for r in range(max_r):
         for n in range(min(window, cx.max_degree - 2) + 1):
-            for p in range(n + 1):
+            for p in range(max(n, filt.level_bound(n)) + 1):
                 consistency.append(
                     {"r": r, "p": p, "q": n - p,
                      "ok": engine.consistency_ok(r, p, n - p)})

@@ -16,8 +16,12 @@ from qmcoh.chains import (
     m_chain,
     pushforward,
 )
+from qmcoh.cochains import pair, table_cochain
 from qmcoh.errors import ResourceCapExceeded
-from qmcoh.groups import FiniteGroup, FreeGroup, FreeAutomorphism
+from qmcoh.extensions import AbstractKernel, chain_module
+from qmcoh.fixtures import semidirect_f2_z
+from qmcoh.groups import FiniteGroup, FreeGroup, FreeAutomorphism, MapAutomorphism
+from qmcoh.quasimorphism import BrooksQuasimorphism, homogeneous_cocycle
 from qmcoh.words import Pow, parse
 
 F2 = FreeGroup(2)
@@ -281,3 +285,98 @@ def test_free_group_arithmetic_keeps_entries_canonical(a, b, q):
        edge_chains(Z4, st.integers(1, 4), z4_maps), fractions)
 def test_finite_group_arithmetic_keeps_entries_canonical(a, b, q):
     _check_results_are_canonical(a, b, q)
+
+
+# ------------------------------------------------- one-pass difference
+
+
+def _check_difference(a, b):
+    d, ref = a - b, a + (-b)
+    assert d.support == ref.support
+    assert d.tails == ref.tails
+    assert d.tail_bound == ref.tail_bound
+    zero = a - a
+    assert zero.support == {} and zero == Chain.zero(a.group, a.degree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_chains(F2, f2_elements, f2_maps),
+       edge_chains(F2, f2_elements, f2_maps))
+def test_free_group_difference_is_the_sum_with_the_negative(a, b):
+    _check_difference(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(edge_chains(Z4, st.integers(1, 4), z4_maps),
+       edge_chains(Z4, st.integers(1, 4), z4_maps))
+def test_finite_group_difference_is_the_sum_with_the_negative(a, b):
+    _check_difference(a, b)
+
+
+def test_difference_negates_the_subtrahend_tails():
+    g, h = p("ab"), p("b'")
+    d = m_chain(F2, g, 3) - m_chain(F2, h, 4)
+    assert d.tails == (MSeriesTail(g, 3, Fraction(1)),
+                       MSeriesTail(h, 4, Fraction(-1)))
+    assert d.tail_bound == Fraction(1, 8) + Fraction(1, 16)
+
+
+def test_difference_rejects_a_group_or_degree_mismatch():
+    a = Chain.basis(F2, p("a"), p("b"))
+    for other in (Chain.basis(FreeGroup(2), p("a"), p("b")),
+                  Chain.basis(F2, p("a")),
+                  Chain.basis(Z4, 2, 3)):
+        with pytest.raises(ValueError, match="chain mismatch"):
+            a - other
+
+
+# ------------------------------------------------------ shared m-chains
+
+
+def _sharing_case(kind):
+    """(group, g, h, automorphism, kernel over the group, base element,
+    scalar 2-cochain) for the free group and for Z/4."""
+    if kind == "free":
+        kernel = semidirect_f2_z().kernel()
+        swap = FreeAutomorphism(F2, ((2,), (1,)), ((2,), (1,)))
+        cocycle = homogeneous_cocycle(BrooksQuasimorphism(p("ab")))
+        return F2, p("aab"), p("ba'"), swap, kernel, (1,), cocycle
+    z2 = FiniteGroup.cyclic(2)
+    flip = MapAutomorphism(Z4, Z4.inv, Z4.inv)
+    auts = {1: MapAutomorphism(Z4, lambda x: x, lambda x: x), 2: flip}
+    kernel = AbstractKernel(z2, Z4, auts.__getitem__, lambda a, b: 1)
+    cocycle = table_cochain(Z4, 2, {(2, 2): 1, (3, 2): -2, (4, 4): 3})
+    return Z4, 2, 3, flip, kernel, 2, cocycle
+
+
+def _snapshot(z):
+    return dict(z.support), z.tails, z.tail_bound
+
+
+@pytest.mark.parametrize("kind", ["free", "finite"])
+def test_m_chains_are_built_once(kind):
+    group, g, h, *_ = _sharing_case(kind)
+    for N in (1, 6):
+        assert m_chain(group, g, N) is m_chain(group, g, N)
+        assert m2_chain(group, g, h, N) is m2_chain(group, g, h, N)
+
+
+@pytest.mark.parametrize("kind", ["free", "finite"])
+def test_using_a_shared_chain_leaves_it_as_it_was(kind):
+    group, g, h, aut, kernel, alpha, cocycle = _sharing_case(kind)
+    shared = [m_chain(group, g, 6), m2_chain(group, g, h, 6)]
+    before = [_snapshot(z) for z in shared]
+    module = chain_module(kernel)
+    other = m2_chain(group, h, g, 5)
+    for z in shared:
+        results = [z + other, other + z, z - other, other - z, z - z, -z,
+                   z.scale(Fraction(-3, 2)), z.scale(1), z.scale(0),
+                   boundary(z), pushforward(aut, z),
+                   module.act(alpha, z), module.add(z, other),
+                   module.scale(2, z)]
+        pair(cocycle, z)
+        for r in results:
+            assert r is not z and r.support is not z.support
+    assert [_snapshot(z) for z in shared] == before
+    assert m_chain(group, g, 6) is shared[0]
+    assert m2_chain(group, g, h, 6) is shared[1]

@@ -137,6 +137,27 @@ def test_verify_out_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys):
     assert rc == 2 and err.startswith("qmcoh: ") and str(target) in err
 
 
+def test_verify_out_is_opened_before_any_identity_runs(tmp_path, capsys,
+                                                      monkeypatch):
+    def no_run(**kwargs):
+        raise AssertionError("identities ran for an unwritable path")
+    monkeypatch.setattr(qmcoh.cli, "run_suite", no_run)
+    target = tmp_path / "missing" / "report.json"
+    rc, out, err = run(capsys, "verify", "--suite", "qm",
+                       "--out", str(target))
+    assert rc == 2 and out == "" and f"cannot write --out {target}" in err
+
+
+def test_verify_passes_an_io_error_of_the_run_through(tmp_path, capsys,
+                                                      monkeypatch):
+    def failing_run(**kwargs):
+        raise OSError(5, "a read inside the run failed")
+    monkeypatch.setattr(qmcoh.cli, "run_suite", failing_run)
+    with pytest.raises(OSError, match="a read inside the run failed"):
+        main(["verify", "--suite", "qm", "--out", str(tmp_path / "r.json")])
+    assert "cannot write" not in capsys.readouterr().err
+
+
 def test_verify_list_shows_every_identity(capsys):
     rc, out, _ = run(capsys, "verify", "--list")
     assert rc == 0
@@ -181,6 +202,10 @@ def test_ss_takes_a_level_above_its_degree(tmp_path, capsys):
     path.write_text(json.dumps(LEVEL_ABOVE_DEGREE))
     rc, out, _ = run(capsys, "ss", str(path))
     assert rc == 0 and "converged: yes" in out
+    # F^2 is nonzero in degree 1, so its cell (2, -1), where d_2 out of
+    # (0, 0) lands, is listed with the others
+    assert "page r=2: E[0,0]=1 d>1  E[0,1]=0  E[1,0]=0  E[2,-1]=1\n" in out
+    assert "page r=3: E[0,0]=0  E[0,1]=0  E[1,0]=0  E[2,-1]=0\n" in out
 
 
 def test_ss_random_round_trips_through_json(tmp_path, capsys):

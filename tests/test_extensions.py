@@ -2,6 +2,7 @@
 chain-valued cochains, exercised on the shipped fixtures."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,56 @@ def test_composition_law_and_normalization():
     sq = swd.psi(2)
     for g in F2.generators:
         assert sq(sq(g)) == F2.conj((1, 2), g)
+
+
+def _section_defect(ext):
+    """f(a, b) = fiber_of(s(a) s(b) s(ab)^-1), evaluated afresh."""
+    G, P = ext.gamma, ext.pi
+
+    def f(a, b):
+        return ext.fiber_of(G.mul(ext.section(a), ext.section(b),
+                                  G.inv(ext.section(P.mul(a, b)))))
+    return f
+
+
+def test_kernel_defect_is_evaluated_once_per_pair():
+    raw = _section_defect(EXT)
+    calls = Counter()
+
+    def counted(a, b):
+        calls[a, b] += 1
+        return raw(a, b)
+
+    k = AbstractKernel(EXT.pi, EXT.g, EXT.section_automorphism, counted)
+    pool = pi_elements(EXT.pi, bound=3)
+    pairs = [(a, b) for a in pool for b in pool]
+    for _ in range(3):
+        for a, b in pairs:
+            assert k.f(a, b) == raw(a, b)
+    assert calls == Counter(dict.fromkeys(pairs, 1))
+
+
+def test_conjugated_defect_is_evaluated_once_per_pair():
+    # each evaluation of the conjugated defect reads h at a, b and ab
+    raw = _section_defect(EXT)
+    base = AbstractKernel(EXT.pi, EXT.g, EXT.section_automorphism, raw)
+    h = _conjugating_map()
+    calls = Counter()
+
+    def counted(alpha):
+        calls[alpha] += 1
+        return h(alpha)
+
+    k2 = base.conjugate_by(counted)
+    G, P = EXT.g, EXT.pi
+    pool = pi_elements(EXT.pi, bound=2)
+    pairs = [(a, b) for a in pool for b in pool]
+    for _ in range(3):
+        for a, b in pairs:
+            assert k2.f(a, b) == G.mul(
+                h(a), EXT.section_automorphism(a)(h(b)), raw(a, b),
+                G.inv(h(P.mul(a, b))))
+    assert sum(calls.values()) == 3 * len(pairs)
 
 
 def test_conjugated_kernel_still_satisfies_product_rule():
