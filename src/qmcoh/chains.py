@@ -255,14 +255,23 @@ def pushforward(aut, z: Chain) -> Chain:
     """Apply a homomorphism entrywise; symbolic powers map base-wise
     (images of powers are powers of images). The image of a root may be
     a proper power or the identity, so the result is canonicalized
-    again."""
+    again. The 2N entries of an m-series share one base, so each
+    distinct word or base is mapped once per call."""
+    images: dict = {}
+
+    def image(w):
+        hit = images.get(w)
+        if hit is None:
+            hit = images[w] = aut(w)
+        return hit
+
     def fwd(x):
-        return Pow(aut(x.base), x.exp) if isinstance(x, Pow) else aut(x)
+        return Pow(image(x.base), x.exp) if isinstance(x, Pow) else image(x)
 
     return Chain(
         z.group, z.degree,
         [(tuple(map(fwd, t)), c) for t, c in z.support.items()],
-        tails=tuple(t._replace(base=aut(t.base)) for t in z.tails),
+        tails=tuple(t._replace(base=image(t.base)) for t in z.tails),
         tail_bound=z.tail_bound,
     )
 

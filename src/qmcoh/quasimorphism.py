@@ -95,12 +95,17 @@ class BrooksQuasimorphism(Quasimorphism):
 
     def _power_line(self, base: Word) -> tuple:
         """(k0, phi(base^k0), slope, core, conj, conj^-1) for base, the
-        last three as character strings; see ``eval_power``."""
+        last three as character strings; see ``eval_power``.
+
+        The base is encoded once and split on its string by
+        ``words.cyclic_chars``, which reduces it only if the string
+        holds an inverse pair. A long reduced base, such as a
+        materialized g^(2^16), never runs the letter-by-letter loop of
+        ``words.reduce``.
+        """
         line = self._cyclic.get(base)
         if line is None:
-            core, conj = words.cyclic_reduce(base)
-            cc = words.chars(core)
-            uc = words.chars(conj)
+            cc, uc = words.cyclic_chars(base)
             ui = _inv_chars(uc)
             if not cc:  # the identity: phi = 0 on every power
                 line = (1, 0, 0, cc, uc, ui)

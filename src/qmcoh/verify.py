@@ -72,6 +72,7 @@ from .quasimorphism import (
     HomogeneousCocycle,
     homogeneous_cocycle,
     homogeneous_representative,
+    homogenize,
     pullback_cocycle,
 )
 from .spectral import (
@@ -319,7 +320,12 @@ def _duality_defect_bound(ctx, rng):
     P = 2 ** N
 
     def b(x):
-        return Fraction(hom(x)) - Fraction(phi(x))
+        # x is a materialized g^P of up to 2^19 letters. The shared
+        # hom and phi memoize per word, so they would keep every g^P
+        # and its strings alive to the end of the identity; a fresh
+        # evaluator lets each word go after its sample.
+        fresh = BrooksQuasimorphism(phi.word)
+        return Fraction(homogenize(fresh, x)) - Fraction(phi(x))
 
     for _ in range(ctx.samples):
         g = F2.random_element(rng, 4)

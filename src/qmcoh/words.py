@@ -13,7 +13,9 @@ identity.
 
 ``chars`` re-encodes a word as one character per letter (lowercase for
 generators, uppercase for inverses), which makes occurrence counting of
-subwords a plain substring scan.
+subwords a plain substring scan. In that encoding the inverse of a
+letter is its ``swapcase``, so ``cyclic_chars`` tests reducedness and
+splits off the conjugator with string operations alone.
 """
 
 from __future__ import annotations
@@ -256,6 +258,26 @@ def chars(w: Word) -> str:
         raise ValueError(
             f"generator {abs(ex.args[0])} has no letter name"
         ) from None
+
+
+def cyclic_chars(w: Word) -> tuple[str, str]:
+    """``cyclic_reduce`` on the ``chars`` encoding: (core, conj) of w as
+    strings, for the same split w = conj . core . conj^-1.
+
+    A word is reduced exactly when its string holds no pair
+    x + x.swapcase(), so one substring search per distinct letter, at C
+    speed, replaces the stack loop of ``reduce``; only a word that fails
+    the search is reduced and encoded again. A 0 or a generator beyond
+    the alphabet raises ValueError, as in ``chars``.
+    """
+    s = chars(w)
+    if any(x + x.swapcase() in s for x in set(s)):
+        s = chars(reduce(w))
+    lo, hi = 0, len(s)
+    while hi - lo >= 2 and s[lo] == s[hi - 1].swapcase():
+        lo += 1
+        hi -= 1
+    return s[lo:hi], s[:lo]
 
 
 def random_reduced(rng: random.Random, rank: int, length: int) -> Word:

@@ -171,6 +171,46 @@ def test_pushforward_commutes_with_m2():
     assert z.tails == w.tails
 
 
+def _entrywise_image(aut, z):
+    """pushforward written out entry by entry, without any sharing."""
+    def fwd(x):
+        return Pow(aut(x.base), x.exp) if isinstance(x, Pow) else aut(x)
+
+    return Chain(
+        z.group, z.degree,
+        [(tuple(map(fwd, t)), c) for t, c in z.support.items()],
+        tails=tuple(t._replace(base=aut(t.base)) for t in z.tails),
+        tail_bound=z.tail_bound,
+    )
+
+
+@pytest.mark.parametrize("aut, g, h", [
+    (FreeAutomorphism(F2, [p("ab"), p("b")], [p("ab'"), p("b")]),
+     p("ab"), p("a'b")),
+    (FreeAutomorphism(F2, [p("b"), p("a")], [p("b"), p("a")]),
+     p("aba"), p("b'")),
+    (MapAutomorphism(FiniteGroup.cyclic(4), FiniteGroup.cyclic(4).inv,
+                     FiniteGroup.cyclic(4).inv), 2, 3),
+])
+def test_pushforward_maps_each_distinct_word_once(aut, g, h):
+    z = m2_chain(aut.group, g, h, 5)
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return aut(x)
+
+    out = pushforward(counted, z)
+    distinct = {
+        x.base if isinstance(x, Pow) else x for t in z.support for x in t
+    } | {t.base for t in z.tails}
+    assert len(calls) == len(distinct) and set(calls) == distinct
+    want = _entrywise_image(aut, z)
+    assert out.support == want.support
+    assert out.tails == want.tails
+    assert out.tail_bound == want.tail_bound
+
+
 def test_homogeneous_boundary_and_homotopy_low_degree():
     e = ()
     g = p("ab")

@@ -107,6 +107,39 @@ def test_homogenize_is_the_slope_of_powers(w, g):
     assert n * homogenize(phi, g) == slope
 
 
+@given(brooks_words, st.lists(letters2, max_size=12),
+       st.integers(min_value=-40, max_value=40))
+def test_power_line_reduces_raw_letter_lists(w, ls, n):
+    # the raw list often holds an inverse pair; its values are those of
+    # its reduced word, read off a separate evaluator
+    phi = BrooksQuasimorphism(w)
+    ref = BrooksQuasimorphism(w)
+    g = words.reduce(ls)
+    assert homogenize(phi, tuple(ls)) == homogenize(ref, g)
+    assert phi.eval_power(tuple(ls), n) == ref.eval_power(g, n)
+
+
+@pytest.mark.parametrize("base", [(1, 0, 2), (27,), (2, -27, 1)])
+def test_power_line_rejects_letters_without_a_name(base):
+    phi = BrooksQuasimorphism(p("ab"))
+    with pytest.raises(ValueError):
+        homogenize(phi, base)
+    with pytest.raises(ValueError):
+        phi.eval_power(base, 3)
+
+
+def test_long_reduced_power_never_runs_the_reduce_loop(monkeypatch):
+    g = p("baaba'b'")  # (ba) . ab . (ba)^-1
+    x = words.power(g, 2**16)
+    phi = BrooksQuasimorphism(p("ab"))
+
+    def refuse(letters):
+        raise AssertionError("reduce ran on a reduced word")
+
+    monkeypatch.setattr(words, "reduce", refuse)
+    assert homogenize(phi, x) == 2**16
+
+
 def test_stable_drift_rejects_empty_windows():
     c = homogeneous_cocycle(BrooksQuasimorphism(p("ab")))
     with pytest.raises(ValueError, match="window"):

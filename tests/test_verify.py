@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -99,3 +100,18 @@ def test_parameter_validation():
     for cutoff in (0, 17):
         with pytest.raises(ValueError, match="cutoff"):
             run_suite("qm", cutoff=cutoff)
+
+
+def test_duality_defect_bound_drops_each_long_power():
+    # duality-defect-bound materializes g^P, (gh)^P and h^P with
+    # P = 2^16, up to 2^19 letters (~4 MB as a tuple) each, for every
+    # sample. Each must go when its sample is done: an evaluator memo
+    # keyed by the word would hold all 18 of them to the end, and the
+    # peak was 54 MB when one did.
+    tracemalloc.start()
+    try:
+        run_suite("chains", seed=0, cutoff=16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20

@@ -7,6 +7,7 @@ from qmcoh import words
 from qmcoh.errors import ResourceCapExceeded
 from qmcoh.words import (
     chars,
+    cyclic_chars,
     cyclic_reduce,
     exponent_sum,
     fmt,
@@ -193,3 +194,10 @@ def test_entry_mul_inverse_base_stays_symbolic():
     assert out == words.Pow(ab, 2)
     # a plain product that lands on a proper power is re-rooted
     assert words.entry_mul(ab, parse("abab")) == words.Pow(ab, 3)
+
+
+@given(raw_words)
+def test_cyclic_chars_is_cyclic_reduce_on_the_encoding(ls):
+    # unreduced input too: the string check sends it through reduce
+    core, conj = cyclic_reduce(tuple(ls))
+    assert cyclic_chars(tuple(ls)) == (chars(core), chars(conj))
