@@ -15,25 +15,37 @@ prepends the identity.
 Entries of free-group chains may be symbolic powers (``words.Pow``); the
 boundary multiplies same-base powers without expanding them.
 
+A ``Chain``'s coefficients are exact integer numerators over one
+positive denominator, ``den``, kept in lowest terms (gcd(den,
+*numerators) == 1, and the zero chain has den 1). Every coefficient the
+m-series produce is dyadic, so their sums, scalings, boundaries and
+pairings are integer arithmetic plus one division at the end of a
+pairing; chains with other rational coefficients are lifted to the lcm
+of their denominators. ``HomogeneousChain`` keeps ``Fraction``
+coefficients.
+
 Entries become canonical in one place, the ``Chain`` constructor: free
 words and powers are keyed there by primitive root, so that equal
 elements share a dict key. User-built chains, ``Chain.basis``,
 ``m_chain``, the lead term of ``m2_chain`` and ``pushforward`` (a
 homomorphism can send a root to a proper power or to the identity) all
 pass through it. Sums, differences, scalings and boundaries start from
-canonical supports and build their results directly.
+canonical supports and build their results directly; they and the
+constructor share one reduction to lowest terms.
 
 ``m_chain`` and ``m2_chain`` are memoized (a bounded LRU cache per
 process), so equal arguments return the same ``Chain`` object to every
 caller. Every operation builds a new chain and none writes to an
-existing one: a ``Chain``'s ``support``, ``tails`` and ``tail_bound``
-are never mutated after construction.
+existing one: a ``Chain``'s ``support``, ``den``, ``tails`` and
+``tail_bound`` are never mutated after construction.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import NamedTuple
 
 from . import words
@@ -60,14 +72,31 @@ class MSeriesTail(NamedTuple):
 
 def _accumulate(support: dict, pairs) -> dict:
     """Add (tuple, coeff) pairs into ``support``, dropping every key whose
-    coefficient cancels to zero; returns ``support``."""
+    coefficient cancels to zero; returns ``support``. A key seen for the
+    first time takes its coefficient as it is, so no coefficient is ever
+    added to a literal 0 (an int 0 plus a Fraction builds a Fraction)."""
+    get = support.get
     for t, c in pairs:
-        acc = support.get(t, 0) + c
-        if acc:
-            support[t] = acc
+        acc = get(t)
+        if acc is not None:
+            c = acc + c
+        if c:
+            support[t] = c
         else:
             support.pop(t, None)
     return support
+
+
+def _lowest_terms(support: dict, den: int) -> tuple[dict, int]:
+    """Integer numerators ``support`` over ``den`` > 0, divided by their
+    common factor so that gcd(den, *numerators) == 1; the zero chain
+    comes back over 1."""
+    if den == 1 or not support:
+        return support, 1
+    g = gcd(den, *support.values())
+    if g == 1:
+        return support, den
+    return {t: n // g for t, n in support.items()}, den // g
 
 
 def _canonizer(group: Group):
@@ -85,14 +114,24 @@ def _canonizer(group: Group):
 class Chain:
     """Finite rational combination of bar tuples plus tail metadata.
 
-    Equality compares group, degree and support; the tail fields are
-    truncation bookkeeping, not part of the chain's value.
+    Coefficients are integer numerators over one denominator per chain:
+    ``support`` maps each canonical tuple to a nonzero ``int`` n, and
+    the tuple's coefficient is n / ``den``. The pair is kept in lowest
+    terms (``den > 0``, gcd(den, *numerators) == 1, and the zero chain
+    has ``den == 1``), so equality compares group, degree, ``den`` and a
+    dict of ints. The tail fields are truncation bookkeeping, not part
+    of the chain's value.
+
+    ``items`` are (tuple, coefficient) pairs or a dict. Without ``den``
+    the coefficients may be any rationals, and they are lifted to the
+    lcm of their denominators; with ``den`` they are ``int`` numerators
+    over it.
     """
 
-    __slots__ = ("group", "degree", "support", "tails", "tail_bound")
+    __slots__ = ("group", "degree", "support", "den", "tails", "tail_bound")
 
     def __init__(self, group: Group, degree: int, items=(), tails=(),
-                 tail_bound=None):
+                 tail_bound=None, den=None):
         if degree < 0:
             raise ValueError("degree must be >= 0")
         self.group = group
@@ -107,22 +146,35 @@ class Chain:
                     raise ValueError(
                         f"tuple {t!r} has wrong length for degree {degree}")
                 if e not in t:  # normalized complex: degenerate tuples vanish
-                    yield t, Fraction(coeff)
+                    yield t, coeff
 
         pairs = items.items() if isinstance(items, dict) else items
-        self.support = _accumulate({}, terms(pairs))
+        if den is None:
+            kept = [(t, Fraction(c)) for t, c in terms(pairs)]
+            den = lcm(*(c.denominator for _, c in kept))
+            numerators = ((t, c.numerator * (den // c.denominator))
+                          for t, c in kept)
+        else:
+            den = operator.index(den)
+            if den < 1:
+                raise ValueError("den must be a positive integer")
+            numerators = ((t, operator.index(n)) for t, n in terms(pairs))
+        self.support, self.den = _lowest_terms(
+            _accumulate({}, numerators), den)
         self.tails = tuple(tails)
         if tail_bound is None:
             tail_bound = sum((t.mass for t in self.tails), Fraction(0))
         self.tail_bound = Fraction(tail_bound)
 
     @classmethod
-    def _of(cls, group: Group, degree: int, support: dict, tails: tuple,
-            tail_bound: Fraction) -> "Chain":
-        """Wrap a support dict whose keys are canonical already and whose
-        coefficients are nonzero Fractions; no per-entry work."""
+    def _of(cls, group: Group, degree: int, support: dict, den: int,
+            tails: tuple, tail_bound: Fraction) -> "Chain":
+        """Wrap nonzero int numerators over ``den`` whose keys are
+        canonical already: no per-key work, only the reduction to
+        lowest terms that ``__init__`` also ends with."""
         z = object.__new__(cls)
-        z.group, z.degree, z.support = group, degree, support
+        z.group, z.degree = group, degree
+        z.support, z.den = _lowest_terms(support, den)
         z.tails, z.tail_bound = tails, tail_bound
         return z
 
@@ -132,13 +184,15 @@ class Chain:
 
     @classmethod
     def basis(cls, group: Group, *entries) -> "Chain":
-        return cls(group, len(entries), [(tuple(entries), Fraction(1))])
+        return cls(group, len(entries), [(tuple(entries), 1)], den=1)
 
     def scale(self, a) -> "Chain":
         a = Fraction(a)
+        k = a.numerator
         return Chain._of(
             self.group, self.degree,
-            {t: a * c for t, c in self.support.items()} if a else {},
+            {t: k * n for t, n in self.support.items()} if k else {},
+            self.den * a.denominator,
             tuple(t._replace(coeff=a * t.coeff) for t in self.tails),
             abs(a) * self.tail_bound,
         )
@@ -146,38 +200,43 @@ class Chain:
     def __neg__(self):
         return self.scale(-1)
 
-    def __add__(self, other: "Chain") -> "Chain":
+    def _sum(self, other: "Chain", sign: int, tails: tuple) -> "Chain":
+        """self + sign * other over the lcm of the two denominators; with
+        equal denominators the numerators add as they are."""
         if self.group is not other.group or self.degree != other.degree:
             raise ValueError("chain mismatch")
-        return Chain._of(
-            self.group, self.degree,
-            _accumulate(dict(self.support), other.support.items()),
-            self.tails + other.tails,
-            self.tail_bound + other.tail_bound,
-        )
+        if self.den == other.den:
+            den, support, k = self.den, dict(self.support), sign
+        else:
+            den = lcm(self.den, other.den)
+            ka = den // self.den
+            support = {t: ka * n for t, n in self.support.items()}
+            k = sign * (den // other.den)
+        pairs = other.support.items() if k == 1 else \
+            ((t, k * n) for t, n in other.support.items())
+        return Chain._of(self.group, self.degree, _accumulate(support, pairs),
+                         den, self.tails + tails,
+                         self.tail_bound + other.tail_bound)
+
+    def __add__(self, other: "Chain") -> "Chain":
+        return self._sum(other, 1, other.tails)
 
     def __sub__(self, other: "Chain") -> "Chain":
-        if self.group is not other.group or self.degree != other.degree:
-            raise ValueError("chain mismatch")
-        return Chain._of(
-            self.group, self.degree,
-            _accumulate(dict(self.support),
-                        ((t, -c) for t, c in other.support.items())),
-            self.tails + tuple(t._replace(coeff=-t.coeff)
-                               for t in other.tails),
-            self.tail_bound + other.tail_bound,
-        )
+        return self._sum(other, -1, tuple(t._replace(coeff=-t.coeff)
+                                          for t in other.tails))
 
     def __eq__(self, other):
         return (
             isinstance(other, Chain)
             and self.group is other.group
             and self.degree == other.degree
+            and self.den == other.den
             and self.support == other.support
         )
 
     def __hash__(self):
-        return hash((id(self.group), self.degree, frozenset(self.support.items())))
+        return hash((id(self.group), self.degree, self.den,
+                     frozenset(self.support.items())))
 
     def __repr__(self):
         n = len(self.support)
@@ -190,7 +249,8 @@ def boundary(z: Chain) -> Chain:
     In degree 1 the two outer terms cancel (trivial coefficients), so
     the result is the zero chain of degree 0. Merged entries come out of
     ``words.entry_mul`` or the group law canonical already, so only the
-    tuples that now contain the identity are dropped.
+    tuples that now contain the identity are dropped. The faces keep the
+    chain's denominator; cancellation can lower it.
     """
     n = z.degree
     if n < 1:
@@ -210,7 +270,7 @@ def boundary(z: Chain) -> Chain:
                     yield t[:i] + (x,) + t[i + 2:], sign * c
             yield t[:-1], c if n % 2 == 0 else -c
 
-    return Chain._of(group, n - 1, _accumulate({}, faces()), (),
+    return Chain._of(group, n - 1, _accumulate({}, faces()), z.den, (),
                      (n + 1) * z.tail_bound)
 
 
@@ -218,8 +278,9 @@ def boundary(z: Chain) -> Chain:
 def m_chain(group: Group, g, N: int) -> Chain:
     """Truncated telescoping power series for g in degree 2.
 
-    Sum over n = 1..N of 2^-n [g^(2^(n-1)) | g^(2^(n-1))], with the cut
-    tail recorded symbolically (l1 mass exactly 2^-N). The boundary of
+    Sum over n = 1..N of 2^-n [g^(2^(n-1)) | g^(2^(n-1))], stored as the
+    numerators 2^(N-n) over 2^N, with the cut tail recorded symbolically
+    (l1 mass exactly 2^-N). The boundary of
     the full series telescopes; at cutoff N it equals [g] - 2^-N [g^(2^N)].
 
     For the identity every term is degenerate, so the chain (tail
@@ -234,10 +295,11 @@ def m_chain(group: Group, g, N: int) -> Chain:
     for n in range(1, N + 1):
         k = 2 ** (n - 1)
         p = Pow(g, k) if symbolic else group.power(g, k)
-        items.append(((p, p), Fraction(1, 2**n)))
+        items.append(((p, p), 2 ** (N - n)))
     return Chain(
         group, 2, items,
         tails=(MSeriesTail(g, N, Fraction(1)),),
+        den=2**N,
     )
 
 
@@ -246,7 +308,7 @@ def m2_chain(group: Group, g, h, N: int) -> Chain:
     """[g|h] - m(g) + m(gh) - m(h); support norm at most 4, tail mass at
     most 3 * 2^-N."""
     gh = group.mul(g, h)
-    lead = Chain(group, 2, [((g, h), Fraction(1))])
+    lead = Chain.basis(group, g, h)
     return lead - m_chain(group, g, N) + m_chain(group, gh, N) \
         - m_chain(group, h, N)
 
@@ -270,9 +332,10 @@ def pushforward(aut, z: Chain) -> Chain:
 
     return Chain(
         z.group, z.degree,
-        [(tuple(map(fwd, t)), c) for t, c in z.support.items()],
+        [(tuple(map(fwd, t)), n) for t, n in z.support.items()],
         tails=tuple(t._replace(base=image(t.base)) for t in z.tails),
         tail_bound=z.tail_bound,
+        den=z.den,
     )
 
 

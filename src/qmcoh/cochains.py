@@ -34,6 +34,10 @@ from .groups import Group
 
 MAX_DEGREE = 6
 
+# cochain values that enter a pairing sum as they are; any other value is
+# converted with Fraction first, so a float adds exactly
+_EXACT = (int, Fraction)
+
 
 class CoefficientModule:
     """Coefficient system for cochains: a kind tag, the vector-space
@@ -305,8 +309,9 @@ class PairingResult(NamedTuple):
 
 
 def pair(c, z: Chain) -> PairingResult:
-    """<c, z>: sum of coeff * c(tuple) over the chain's support, with an
-    error bound for the truncated tail.
+    """<c, z>: the sum of n * c(tuple) over the chain's integer
+    numerators, divided once by its denominator ``z.den``, with an error
+    bound for the truncated tail.
 
     Accepts any evaluator with ``degree`` and ``evaluate`` (both the
     cocycle classes and :class:`BoundedCochain`); scalar values are
@@ -323,9 +328,10 @@ def pair(c, z: Chain) -> PairingResult:
     mod = getattr(c, "module", None)
     if mod is not None and mod.kind != "trivial_scalar":
         raise ValueError("pairing needs trivial scalar coefficients")
-    total = Fraction(0)
-    for t, coeff in z.support.items():
-        total += coeff * Fraction(c.evaluate(t))
+    total = 0
+    for t, n in z.support.items():
+        v = c.evaluate(t)
+        total += n * (v if type(v) in _EXACT else Fraction(v))
     if z.tail_bound == 0:
         bound = Fraction(0)
     elif getattr(c, "homogeneous", False) and z.tails \
@@ -338,4 +344,4 @@ def pair(c, z: Chain) -> PairingResult:
             "chain has a truncation tail; pairing needs a norm bound or a "
             "homogeneous cochain against power-series tails"
         )
-    return PairingResult(total, bound)
+    return PairingResult(Fraction(total, z.den), bound)

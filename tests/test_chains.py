@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from qmcoh.chains import (
     m_chain,
     pushforward,
 )
-from qmcoh.cochains import pair, table_cochain
+from qmcoh.cochains import BoundedCochain, pair, table_cochain
 from qmcoh.errors import ResourceCapExceeded
 from qmcoh.extensions import AbstractKernel, chain_module
 from qmcoh.fixtures import semidirect_f2_z
@@ -28,6 +29,15 @@ F2 = FreeGroup(2)
 p = parse
 
 
+def coefficients(z):
+    """The rational coefficient of each tuple: numerator over z.den."""
+    return {t: Fraction(n, z.den) for t, n in z.support.items()}
+
+
+def l1(z):
+    return Fraction(sum(map(abs, z.support.values())), z.den)
+
+
 def test_degenerate_tuples_vanish():
     z = Chain(F2, 2, [((p("a"), ()), 1), (((), p("b")), 2)])
     assert z.support == {}
@@ -37,8 +47,8 @@ def test_degenerate_tuples_vanish():
 def test_chain_add_cancels():
     a = Chain.basis(F2, p("a"), p("b"))
     b = a.scale(-1)
-    assert (a + b).support == {}
-    assert (a + a).support == {(p("a"), p("b")): Fraction(2)}
+    assert (a + b).support == {} and (a + b).den == 1
+    assert (a + a).support == {(p("a"), p("b")): 2} and (a + a).den == 1
 
 
 def test_boundary_degree2():
@@ -91,26 +101,29 @@ def test_boundary_norm_inequality():
             for _ in range(5)
         ]
         z = Chain(F2, 2, items)
-        mass = sum(map(abs, z.support.values()))
-        assert sum(map(abs, boundary(z).support.values())) <= 3 * mass
+        assert l1(boundary(z)) <= 3 * l1(z)
 
 
 def test_m_chain_structure():
     g = p("ab")
     m = m_chain(F2, g, 3)
-    assert m.support == {
-        (g, g): Fraction(1, 2),
-        (Pow(g, 2), Pow(g, 2)): Fraction(1, 4),
-        (Pow(g, 4), Pow(g, 4)): Fraction(1, 8),
-    }
+    items = [
+        ((g, g), Fraction(1, 2)),
+        ((Pow(g, 2), Pow(g, 2)), Fraction(1, 4)),
+        ((Pow(g, 4), Pow(g, 4)), Fraction(1, 8)),
+    ]
+    assert coefficients(m) == dict(items)
+    assert m == Chain(F2, 2, items)
+    # numerators 2^(N-n) over 2^N
+    assert m.den == 8 and sorted(m.support.values()) == [1, 2, 4]
     assert m.tail_bound == Fraction(1, 8)
     assert m.tails == (MSeriesTail(g, 3, Fraction(1)),)
-    assert sum(map(abs, m.support.values())) + m.tail_bound == 1
+    assert l1(m) + m.tail_bound == 1
 
 
 def test_m_chain_identity_is_zero():
     m = m_chain(F2, (), 5)
-    assert m.support == {} and m.tail_bound == 0
+    assert m.support == {} and m.den == 1 and m.tail_bound == 0
 
 
 def test_m_chain_cutoff_cap():
@@ -121,11 +134,13 @@ def test_m_chain_cutoff_cap():
 def test_m_chain_finite_group():
     z4 = FiniteGroup.cyclic(4)
     m = m_chain(z4, 2, 3)
-    # powers of the generator: 2^1=cls1, 2^2=cls2, 2^4=cls0 -> degenerate
-    assert m.support == {
+    # powers of the generator: 2^1=cls1, 2^2=cls2, 2^4=cls0 -> degenerate,
+    # so the numerators 4, 2 over 8 come down to 2, 1 over 4
+    assert coefficients(m) == {
         (2, 2): Fraction(1, 2),
         (3, 3): Fraction(1, 4),
     }
+    assert m.support == {(2, 2): 2, (3, 3): 1} and m.den == 4
 
 
 def test_boundary_of_m_chain_telescopes():
@@ -143,7 +158,7 @@ def test_boundary_of_m_chain_telescopes():
 def test_m2_chain_norm_and_boundary():
     g, h = p("ab"), p("ba")
     z = m2_chain(F2, g, h, 4)
-    assert sum(map(abs, z.support.values())) + z.tail_bound <= 4
+    assert l1(z) + z.tail_bound <= 4
     assert z.tail_bound == Fraction(3, 16)
     out = boundary(z)
     gh = F2.mul(g, h)
@@ -159,7 +174,7 @@ def test_m2_chain_with_inverse_pair():
     g = p("ab")
     z = m2_chain(F2, g, words.inv(g), 3)
     # gh is the identity: its m chain is zero and [g|g^-1] survives
-    assert z.support[(g, words.inv(g))] == 1
+    assert coefficients(z)[(g, words.inv(g))] == 1
 
 
 def test_pushforward_commutes_with_m2():
@@ -178,9 +193,10 @@ def _entrywise_image(aut, z):
 
     return Chain(
         z.group, z.degree,
-        [(tuple(map(fwd, t)), c) for t, c in z.support.items()],
+        [(tuple(map(fwd, t)), n) for t, n in z.support.items()],
         tails=tuple(t._replace(base=aut(t.base)) for t in z.tails),
         tail_bound=z.tail_bound,
+        den=z.den,
     )
 
 
@@ -206,7 +222,7 @@ def test_pushforward_maps_each_distinct_word_once(aut, g, h):
     } | {t.base for t in z.tails}
     assert len(calls) == len(distinct) and set(calls) == distinct
     want = _entrywise_image(aut, z)
-    assert out.support == want.support
+    assert out.support == want.support and out.den == want.den
     assert out.tails == want.tails
     assert out.tail_bound == want.tail_bound
 
@@ -298,15 +314,16 @@ def edge_chains(draw, group, elements, maps):
 
 
 def _rebuilt(z):
-    return Chain(z.group, z.degree, list(z.support.items()))
+    return Chain(z.group, z.degree, list(z.support.items()), den=z.den)
 
 
 def _check_results_are_canonical(a, b, q):
     results = [a + b, a - a, a.scale(q), boundary(a)]
     for r in results:
-        assert r.support == _rebuilt(r).support
+        assert r.support == _rebuilt(r).support and r.den == _rebuilt(r).den
     assert (a - a).support == {}
-    assert a + b == Chain(a.group, 2, [*a.support.items(), *b.support.items()])
+    assert a + b == Chain(a.group, 2, [*coefficients(a).items(),
+                                       *coefficients(b).items()])
     assert boundary(boundary(a)).support == {}
 
 
@@ -332,11 +349,12 @@ def test_finite_group_arithmetic_keeps_entries_canonical(a, b, q):
 
 def _check_difference(a, b):
     d, ref = a - b, a + (-b)
-    assert d.support == ref.support
+    assert d.support == ref.support and d.den == ref.den
     assert d.tails == ref.tails
     assert d.tail_bound == ref.tail_bound
     zero = a - a
-    assert zero.support == {} and zero == Chain.zero(a.group, a.degree)
+    assert zero.support == {} and zero.den == 1
+    assert zero == Chain.zero(a.group, a.degree)
 
 
 @settings(max_examples=60, deadline=None)
@@ -390,7 +408,7 @@ def _sharing_case(kind):
 
 
 def _snapshot(z):
-    return dict(z.support), z.tails, z.tail_bound
+    return dict(z.support), z.den, z.tails, z.tail_bound
 
 
 @pytest.mark.parametrize("kind", ["free", "finite"])
@@ -420,3 +438,236 @@ def test_using_a_shared_chain_leaves_it_as_it_was(kind):
     assert [_snapshot(z) for z in shared] == before
     assert m_chain(group, g, 6) is shared[0]
     assert m2_chain(group, g, h, 6) is shared[1]
+
+
+# ------------------------------------------ Fraction reference chains
+# The chain layer as it was before coefficients became integer
+# numerators over one denominator: a dict of nonzero Fractions, with
+# every operation written out term by term. The package's Chain must
+# give the same rational coefficients, tails and tail bound, and the
+# same pairings.
+
+
+def _ref_key(group):
+    if not isinstance(group, FreeGroup):
+        return tuple
+    return lambda t: tuple(
+        words.pow_entry(*x) if isinstance(x, Pow) else words.pow_entry(x, 1)
+        for x in t)
+
+
+class RefChain:
+    def __init__(self, group, degree, items=(), tails=(), tail_bound=None):
+        key, e = _ref_key(group), group.identity
+        support: dict = {}
+        for t, c in items:
+            t = key(t)
+            if e not in t:
+                support[t] = support.get(t, Fraction(0)) + Fraction(c)
+        self.group, self.degree = group, degree
+        self.support = {t: c for t, c in support.items() if c}
+        self.tails = tuple(tails)
+        if tail_bound is None:
+            tail_bound = sum((t.mass for t in self.tails), Fraction(0))
+        self.tail_bound = Fraction(tail_bound)
+
+    def __add__(self, other):
+        return RefChain(self.group, self.degree,
+                        [*self.support.items(), *other.support.items()],
+                        self.tails + other.tails,
+                        self.tail_bound + other.tail_bound)
+
+    def scale(self, a):
+        a = Fraction(a)
+        return RefChain(self.group, self.degree,
+                        [(t, a * c) for t, c in self.support.items()],
+                        tuple(t._replace(coeff=a * t.coeff)
+                              for t in self.tails),
+                        abs(a) * self.tail_bound)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+
+def ref_boundary(z):
+    n, group = z.degree, z.group
+    mul = words.entry_mul if isinstance(group, FreeGroup) else group.mul
+    items = []
+    for t, c in z.support.items():
+        items.append((t[1:], c))
+        for i in range(n - 1):
+            items.append((t[:i] + (mul(t[i], t[i + 1]),) + t[i + 2:],
+                          (-1) ** (i + 1) * c))
+        items.append((t[:-1], (-1) ** n * c))
+    return RefChain(group, n - 1, items, (), (n + 1) * z.tail_bound)
+
+
+def ref_m_chain(group, g, N):
+    if g == group.identity:
+        return RefChain(group, 2)
+    symbolic = isinstance(group, FreeGroup)
+    items = []
+    for n in range(1, N + 1):
+        k = 2 ** (n - 1)
+        x = Pow(g, k) if symbolic else group.power(g, k)
+        items.append(((x, x), Fraction(1, 2**n)))
+    return RefChain(group, 2, items, (MSeriesTail(g, N, Fraction(1)),))
+
+
+def ref_m2_chain(group, g, h, N):
+    return RefChain(group, 2, [((g, h), 1)]) - ref_m_chain(group, g, N) \
+        + ref_m_chain(group, group.mul(g, h), N) - ref_m_chain(group, h, N)
+
+
+def ref_pushforward(aut, z):
+    def fwd(x):
+        return Pow(aut(x.base), x.exp) if isinstance(x, Pow) else aut(x)
+
+    return RefChain(z.group, z.degree,
+                    [(tuple(map(fwd, t)), c) for t, c in z.support.items()],
+                    tuple(t._replace(base=aut(t.base)) for t in z.tails),
+                    z.tail_bound)
+
+
+def ref_pair(c, z):
+    total = Fraction(0)
+    for t, coeff in z.support.items():
+        total += coeff * Fraction(c.evaluate(t))
+    if z.tail_bound == 0:
+        bound = Fraction(0)
+    elif getattr(c, "homogeneous", False) and z.tails \
+            and all(isinstance(t, MSeriesTail) for t in z.tails):
+        bound = Fraction(0)
+    else:
+        bound = c.norm_bound * z.tail_bound
+    return total, bound
+
+
+def assert_canonical(z):
+    assert type(z.den) is int and z.den > 0
+    assert all(type(n) is int and n != 0 for n in z.support.values())
+    assert gcd(z.den, *z.support.values()) == 1
+    if not z.support:
+        assert z.den == 1
+
+
+def assert_matches(z, ref):
+    assert_canonical(z)
+    assert z.degree == ref.degree
+    assert coefficients(z) == ref.support
+    assert z.tails == ref.tails
+    assert z.tail_bound == ref.tail_bound
+
+
+SCALES = [0, 1, -1, Fraction(3, 2), Fraction(1, 3), Fraction(-2, 5)]
+user_coeffs = st.sampled_from(
+    [Fraction(1, 3), Fraction(1, 2), -1, 2, Fraction(-3, 4)]
+) | st.fractions(max_denominator=12)
+
+
+@st.composite
+def twin_chains(draw, group, elements, maps):
+    """A package chain and its reference twin, built from the same
+    arguments: an m-chain, an m2-chain, its pushforward, or a user chain
+    with arbitrary rational coefficients."""
+    kind = draw(st.sampled_from(["m", "m2", "push", "user"]))
+    g, h = draw(elements), draw(elements)
+    N = draw(st.sampled_from([1, 6, 16]))
+    if kind == "m":
+        return m_chain(group, g, N), ref_m_chain(group, g, N)
+    if kind == "user":
+        items = draw(st.lists(
+            st.tuples(st.tuples(elements, elements), user_coeffs),
+            max_size=4))
+        return Chain(group, 2, items), RefChain(group, 2, items)
+    z, ref = m2_chain(group, g, h, N), ref_m2_chain(group, g, h, N)
+    if kind == "push":
+        f = draw(maps)
+        return pushforward(f, z), ref_pushforward(f, ref)
+    return z, ref
+
+
+def _check_against_reference(a, b, f):
+    (za, ra), (zb, rb) = a, b
+    cases = [(za, ra), (zb, rb), (za + zb, ra + rb), (za - zb, ra - rb),
+             (zb - za, rb - ra), (-za, -ra),
+             *((za.scale(q), ra.scale(q)) for q in SCALES),
+             (boundary(za), ref_boundary(ra)),
+             (boundary(boundary(za)), ref_boundary(ref_boundary(ra))),
+             (pushforward(f, za), ref_pushforward(f, ra))]
+    for z, ref in cases:
+        assert_matches(z, ref)
+    # equal chains reached by different paths are equal and hash equal
+    zero = Chain.zero(za.group, 2)
+    for x, y in [((za + zb) - zb, za), (za - za, zero), (-(-za), za),
+                 (za.scale(Fraction(1, 3)).scale(3), za),
+                 (za + zb, zb + za), (za.scale(0), zero)]:
+        assert x == y and hash(x) == hash(y)
+        assert x.support == y.support and x.den == y.den
+
+
+@settings(max_examples=60, deadline=None)
+@given(twin_chains(F2, f2_elements, f2_maps),
+       twin_chains(F2, f2_elements, f2_maps), f2_maps)
+def test_free_group_chains_match_the_fraction_reference(a, b, f):
+    _check_against_reference(a, b, f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(twin_chains(Z4, st.integers(1, 4), z4_maps),
+       twin_chains(Z4, st.integers(1, 4), z4_maps), z4_maps)
+def test_finite_group_chains_match_the_fraction_reference(a, b, f):
+    _check_against_reference(a, b, f)
+
+
+def test_constructor_lifts_rationals_to_the_lcm_and_lowest_terms():
+    g, h = p("ab"), p("b'")
+    z = Chain(F2, 2, [((g, h), Fraction(1, 3)), ((h, g), Fraction(1, 2)),
+                      ((g, g), "-5/6")])
+    assert z.den == 6 and z.support == {(g, h): 2, (h, g): 3, (g, g): -5}
+    # common factors of the numerators and den cancel
+    w = Chain(F2, 2, [((g, h), 6), ((h, g), -4)], den=8)
+    assert w.den == 4 and w.support == {(g, h): 3, (h, g): -2}
+    assert w == Chain(F2, 2, [((g, h), Fraction(3, 4)),
+                              ((h, g), Fraction(-1, 2))])
+    half = Chain(F2, 2, [((g, h), Fraction(1, 2))])
+    assert (half + half).den == 1 and (half + half).support == {(g, h): 1}
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match="den"):
+            Chain(F2, 2, [((g, h), 1)], den=bad)
+    with pytest.raises(TypeError):
+        Chain(F2, 2, [((g, h), Fraction(1, 2))], den=2)
+
+
+def test_pairing_matches_the_fraction_reference():
+    g, h = p("ab"), p("ab'")
+    m = m_chain(F2, g, 16)
+    assert m.den == 2**16
+    items = [((g, h), Fraction(1, 3)), ((h, g), Fraction(1, 2)),
+             ((g, g), Fraction(1, 3))]
+    user = Chain(F2, 2, items)
+    assert user.den == 6
+    ref_m, ref_user = ref_m_chain(F2, g, 16), RefChain(F2, 2, items)
+    cases = [(m, ref_m), (user, ref_user), (m - user, ref_m - ref_user)]
+    g2 = words.power(g, 2)
+    table = table_cochain(F2, 2, {
+        (g, g): Fraction(2, 3), (g2, g2): Fraction(-5, 7),
+        (g, h): 3, (h, g): Fraction(1, 5),
+    })
+    brooks = homogeneous_cocycle(BrooksQuasimorphism(p("ab")))
+    # a float value enters the sum exactly, as Fraction(0.375) = 3/8
+    floats = BoundedCochain(F2, 2, lambda x, y: 0.375, norm_bound=1)
+    for c in (table, brooks, floats):
+        for z, ref in cases:
+            got = pair(c, z)
+            assert (got.value, got.error_bound) == ref_pair(c, ref)
+            assert type(got.value) is Fraction
+            assert type(got.error_bound) is Fraction
+    got = pair(table, m)
+    assert got.value == Fraction(1, 2) * Fraction(2, 3) \
+        + Fraction(1, 4) * Fraction(-5, 7)
+    assert got.error_bound == 3 * Fraction(1, 2**16)
+    assert pair(brooks, m).error_bound == 0
