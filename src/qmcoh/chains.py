@@ -3,10 +3,13 @@
 Two complexes live here. The inhomogeneous one (class ``Chain``) is
 normalized with trivial coefficients: basis tuples [g1|...|gn], tuples
 containing the identity are zero, and the degree-1 boundary vanishes. A
-chain may carry a *tail*: the l1 mass of series terms that were cut off,
-recorded symbolically when the cut series is one of the power series
-produced by ``m_chain`` (each discarded term is a same-base power pair,
-which is what makes certified zero-error pairings possible downstream).
+chain may carry a *tail*: an exact bound ``tail_bound`` on the l1 mass
+of series terms that were cut off, and one flag, ``power_tail``, saying
+that all of that mass is same-base power pairs [x^k|x^k]. ``m_chain``
+sets the flag, sums keep it only if every summand has it, scalings and
+pushforwards keep it, and boundaries clear it; a chain without a tail
+has it vacuously. The flag is what makes certified zero-error pairings
+against homogeneous cocycles possible downstream.
 
 The homogeneous one (class ``HomogeneousChain``) uses (n+1)-tuples, is
 *not* normalized, and has the standard contracting homotopy that
@@ -36,8 +39,8 @@ constructor share one reduction to lowest terms.
 ``m_chain`` and ``m2_chain`` are memoized (a bounded LRU cache per
 process), so equal arguments return the same ``Chain`` object to every
 caller. Every operation builds a new chain and none writes to an
-existing one: a ``Chain``'s ``support``, ``den``, ``tails`` and
-``tail_bound`` are never mutated after construction.
+existing one: a ``Chain``'s ``support``, ``den``, ``tail_bound`` and
+``power_tail`` are never mutated after construction.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import NamedTuple
 
 from . import words
 from .errors import ResourceCapExceeded
@@ -54,20 +56,6 @@ from .groups import FreeGroup, Group
 from .words import Pow
 
 MAX_CUTOFF = 16
-
-
-class MSeriesTail(NamedTuple):
-    """The cut-off part of a power series chain: coeff times the terms
-    2^-n [base^(2^(n-1)) | base^(2^(n-1))] for all n > cutoff. Its l1
-    mass is |coeff| * 2^-cutoff."""
-
-    base: object
-    cutoff: int
-    coeff: Fraction
-
-    @property
-    def mass(self) -> Fraction:
-        return abs(self.coeff) * Fraction(1, 2**self.cutoff)
 
 
 def _accumulate(support: dict, pairs) -> dict:
@@ -112,15 +100,17 @@ def _canonizer(group: Group):
 
 
 class Chain:
-    """Finite rational combination of bar tuples plus tail metadata.
+    """Finite rational combination of bar tuples plus a truncation tail.
 
     Coefficients are integer numerators over one denominator per chain:
     ``support`` maps each canonical tuple to a nonzero ``int`` n, and
     the tuple's coefficient is n / ``den``. The pair is kept in lowest
     terms (``den > 0``, gcd(den, *numerators) == 1, and the zero chain
     has ``den == 1``), so equality compares group, degree, ``den`` and a
-    dict of ints. The tail fields are truncation bookkeeping, not part
-    of the chain's value.
+    dict of ints. The tail is truncation bookkeeping, not part of the
+    chain's value: ``tail_bound`` bounds the l1 mass of the cut terms,
+    and ``power_tail`` says all of it is same-base power pairs (always
+    true when ``tail_bound`` is 0).
 
     ``items`` are (tuple, coefficient) pairs or a dict. Without ``den``
     the coefficients may be any rationals, and they are lifted to the
@@ -128,10 +118,11 @@ class Chain:
     over it.
     """
 
-    __slots__ = ("group", "degree", "support", "den", "tails", "tail_bound")
+    __slots__ = ("group", "degree", "support", "den", "tail_bound",
+                 "power_tail")
 
-    def __init__(self, group: Group, degree: int, items=(), tails=(),
-                 tail_bound=None, den=None):
+    def __init__(self, group: Group, degree: int, items=(), tail_bound=0,
+                 den=None, power_tail: bool = False):
         if degree < 0:
             raise ValueError("degree must be >= 0")
         self.group = group
@@ -161,21 +152,20 @@ class Chain:
             numerators = ((t, operator.index(n)) for t, n in terms(pairs))
         self.support, self.den = _lowest_terms(
             _accumulate({}, numerators), den)
-        self.tails = tuple(tails)
-        if tail_bound is None:
-            tail_bound = sum((t.mass for t in self.tails), Fraction(0))
         self.tail_bound = Fraction(tail_bound)
+        self.power_tail = power_tail or not self.tail_bound
 
     @classmethod
     def _of(cls, group: Group, degree: int, support: dict, den: int,
-            tails: tuple, tail_bound: Fraction) -> "Chain":
+            tail_bound: Fraction, power_tail: bool) -> "Chain":
         """Wrap nonzero int numerators over ``den`` whose keys are
         canonical already: no per-key work, only the reduction to
         lowest terms that ``__init__`` also ends with."""
         z = object.__new__(cls)
         z.group, z.degree = group, degree
         z.support, z.den = _lowest_terms(support, den)
-        z.tails, z.tail_bound = tails, tail_bound
+        z.tail_bound = tail_bound
+        z.power_tail = power_tail or not tail_bound
         return z
 
     @classmethod
@@ -192,15 +182,14 @@ class Chain:
         return Chain._of(
             self.group, self.degree,
             {t: k * n for t, n in self.support.items()} if k else {},
-            self.den * a.denominator,
-            tuple(t._replace(coeff=a * t.coeff) for t in self.tails),
-            abs(a) * self.tail_bound,
+            self.den * a.denominator, abs(a) * self.tail_bound,
+            self.power_tail,
         )
 
     def __neg__(self):
         return self.scale(-1)
 
-    def _sum(self, other: "Chain", sign: int, tails: tuple) -> "Chain":
+    def _sum(self, other: "Chain", sign: int) -> "Chain":
         """self + sign * other over the lcm of the two denominators; with
         equal denominators the numerators add as they are."""
         if self.group is not other.group or self.degree != other.degree:
@@ -215,15 +204,14 @@ class Chain:
         pairs = other.support.items() if k == 1 else \
             ((t, k * n) for t, n in other.support.items())
         return Chain._of(self.group, self.degree, _accumulate(support, pairs),
-                         den, self.tails + tails,
-                         self.tail_bound + other.tail_bound)
+                         den, self.tail_bound + other.tail_bound,
+                         self.power_tail and other.power_tail)
 
     def __add__(self, other: "Chain") -> "Chain":
-        return self._sum(other, 1, other.tails)
+        return self._sum(other, 1)
 
     def __sub__(self, other: "Chain") -> "Chain":
-        return self._sum(other, -1, tuple(t._replace(coeff=-t.coeff)
-                                          for t in other.tails))
+        return self._sum(other, -1)
 
     def __eq__(self, other):
         return (
@@ -244,7 +232,9 @@ class Chain:
 
 
 def boundary(z: Chain) -> Chain:
-    """Bar boundary; the tail bound propagates multiplied by (n+1).
+    """Bar boundary; the tail bound propagates multiplied by (n+1), and
+    the faces of a power pair are not power pairs, so the power-tail
+    flag is cleared.
 
     In degree 1 the two outer terms cancel (trivial coefficients), so
     the result is the zero chain of degree 0. Merged entries come out of
@@ -270,8 +260,8 @@ def boundary(z: Chain) -> Chain:
                     yield t[:i] + (x,) + t[i + 2:], sign * c
             yield t[:-1], c if n % 2 == 0 else -c
 
-    return Chain._of(group, n - 1, _accumulate({}, faces()), z.den, (),
-                     (n + 1) * z.tail_bound)
+    return Chain._of(group, n - 1, _accumulate({}, faces()), z.den,
+                     (n + 1) * z.tail_bound, False)
 
 
 @lru_cache(maxsize=256)
@@ -279,8 +269,9 @@ def m_chain(group: Group, g, N: int) -> Chain:
     """Truncated telescoping power series for g in degree 2.
 
     Sum over n = 1..N of 2^-n [g^(2^(n-1)) | g^(2^(n-1))], stored as the
-    numerators 2^(N-n) over 2^N, with the cut tail recorded symbolically
-    (l1 mass exactly 2^-N). The boundary of
+    numerators 2^(N-n) over 2^N. The cut tail has l1 mass exactly 2^-N
+    and is all same-base power pairs, so the chain carries
+    ``tail_bound`` 2^-N and ``power_tail``. The boundary of
     the full series telescopes; at cutoff N it equals [g] - 2^-N [g^(2^N)].
 
     For the identity every term is degenerate, so the chain (tail
@@ -296,11 +287,8 @@ def m_chain(group: Group, g, N: int) -> Chain:
         k = 2 ** (n - 1)
         p = Pow(g, k) if symbolic else group.power(g, k)
         items.append(((p, p), 2 ** (N - n)))
-    return Chain(
-        group, 2, items,
-        tails=(MSeriesTail(g, N, Fraction(1)),),
-        den=2**N,
-    )
+    return Chain(group, 2, items, tail_bound=Fraction(1, 2**N), den=2**N,
+                 power_tail=True)
 
 
 @lru_cache(maxsize=256)
@@ -317,7 +305,8 @@ def pushforward(aut, z: Chain) -> Chain:
     """Apply a homomorphism entrywise; symbolic powers map base-wise
     (images of powers are powers of images). The image of a root may be
     a proper power or the identity, so the result is canonicalized
-    again. The 2N entries of an m-series share one base, so each
+    again; power pairs map to power pairs, so the tail is kept as it is.
+    The 2N entries of an m-series share one base, so each
     distinct word or base is mapped once per call."""
     images: dict = {}
 
@@ -333,9 +322,7 @@ def pushforward(aut, z: Chain) -> Chain:
     return Chain(
         z.group, z.degree,
         [(tuple(map(fwd, t)), n) for t, n in z.support.items()],
-        tails=tuple(t._replace(base=image(t.base)) for t in z.tails),
-        tail_bound=z.tail_bound,
-        den=z.den,
+        tail_bound=z.tail_bound, den=z.den, power_tail=z.power_tail,
     )
 
 

@@ -32,9 +32,9 @@ class NotACocycle(ValueError):
 
 
 class InvariantViolation(ValueError):
-    """A structural law fails: mostly in ``spectral`` (d.d != 0, d leaving
-    F^p, F^0 not spanning, the quotient action not composing, d_r escaping
-    its cell), also a homogeneous cochain that is not equivariant."""
+    """A structural law of a filtered complex fails in ``spectral``: d.d
+    != 0, d leaving F^p, F^0 not spanning, the quotient action not
+    composing, d_r escaping its cell."""
 
 
 class CentralityViolation(ValueError):

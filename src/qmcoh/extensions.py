@@ -8,16 +8,17 @@ Extensions with a chosen set-theoretic section produce kernels
 whether an arbitrary kernel arises that way.
 
 ``CentralExtensionModel`` realizes the group of pairs (t, g) with the
-law twisted by a 2-cocycle, its scalar quasimorphism, and the canonical
-section s_x with phi(s_x(g)) = 0. ``lift_automorphism`` extends a G
-automorphism to the pairs fixing the center.
+law twisted by the coboundary d(phi) of a quasimorphism phi, its
+homogenized scalar quasimorphism, and the canonical section s_x with
+phi(s_x(g)) = 0. ``lift_automorphism`` extends a G automorphism to the
+pairs fixing the center.
 
 The chain-valued cochains at the bottom (``theta_chain``,
 ``lambda_chain``, ``t_chain``) take values in degree-2 chains over G;
 their identities are certified through the duality pairing against
-homogeneous cocycles, with the base-group action entering coboundaries
-as a pushforward on the leading term (use ``chain_module`` with
-:func:`qmcoh.cochains.coboundary`).
+homogeneous cocycles. Each carries its ``action``, the pushforward
+along the lift, which :func:`qmcoh.cochains.coboundary` applies to the
+leading term.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .chains import m2_chain, pushforward
-from .cochains import BoundedCochain, CoefficientModule
+from .cochains import BoundedCochain
 from .errors import CentralityViolation, KernelRelationViolation
 from .groups import (
     Automorphism,
@@ -36,7 +37,7 @@ from .groups import (
     compose,
     inner_automorphism,
 )
-from .quasimorphism import DEFAULT_NMAX, DEFAULT_WINDOW, stable_drift
+from .quasimorphism import homogenize
 
 DEFAULT_CUTOFF = 8
 
@@ -233,19 +234,18 @@ class CentralExtensionModel(Group):
 
         (t, g)(u, h) = (t + u + c(g, h), g h)
 
-    for a normalized bounded 2-cocycle c. The scalar coordinate is an
+    for the cocycle c(g, h) = phi(gh) - phi(g) - phi(h) of a
+    quasimorphism phi (``cocycle.phi``, as a ``DefectCocycle`` or
+    ``HomogeneousCocycle`` carries it). The scalar coordinate is an
     unbounded quasimorphism; its homogenization is phi((t,g)) = t +
     shift(g), and the canonical section s_x(g) = (-shift(g), g) is the
-    unique one with phi = 0 on it. For a homogeneous c the shift
+    unique one with phi = 0 on it. For a homogeneous phi the shift
     vanishes identically.
     """
 
-    def __init__(self, group: Group, cocycle, window: int = DEFAULT_WINDOW,
-                 n_max: int = DEFAULT_NMAX):
+    def __init__(self, group: Group, cocycle):
         self.group = group
         self.cocycle = cocycle
-        self.window = window
-        self.n_max = n_max
         self.identity = (Fraction(0), group.identity)
         self._shift: dict = {}
 
@@ -281,13 +281,17 @@ class CentralExtensionModel(Group):
 
     def shift(self, g) -> Fraction:
         """Homogenization drift of the scalar coordinate over powers of
-        g: ``stable_drift`` of the cocycle at g, exact under the
-        condition stated there. Raises NoStabilization if the values
-        never settle."""
+        g: homogenize(phi, g) - phi(g), exactly, since t - phi(g) is a
+        homomorphism of the pairs. Raises TypeError for a cocycle that
+        carries no phi."""
         hit = self._shift.get(g)
         if hit is None:
-            hit = Fraction(stable_drift(self.cocycle, self.group, g,
-                                        self.window, self.n_max))
+            phi = getattr(self.cocycle, "phi", None)
+            if phi is None:
+                raise TypeError(
+                    f"model shift needs a cocycle with a phi, got"
+                    f" {self.cocycle!r}")
+            hit = Fraction(homogenize(phi, g)) - Fraction(phi(g))
             self._shift[g] = hit
         return hit
 
@@ -380,16 +384,6 @@ def composition_cochain(c2, k: AbstractKernel) -> BoundedCochain:
     return BoundedCochain(P, 3, ev, name=f"comp({k.name})")
 
 
-def chain_module(k: AbstractKernel) -> CoefficientModule:
-    """Degree-2 chains over the kernel's fiber, acted on by pushforward
-    along the lift; this is the coefficient module in which the chain
-    cochains below take their coboundaries."""
-    return CoefficientModule.chain_valued(
-        k.g, 2,
-        action=lambda alpha, z: pushforward(k.psi(alpha), z),
-    )
-
-
 def theta_chain(k: AbstractKernel,
                 cutoff: int = DEFAULT_CUTOFF) -> BoundedCochain:
     """Chain-valued refinement of the composition cochain:
@@ -406,7 +400,8 @@ def theta_chain(k: AbstractKernel,
         second = m2_chain(G, k.f(a, b), k.f(P.mul(a, b), c), cutoff)
         return first - second
 
-    return BoundedCochain(P, 3, ev, module=chain_module(k),
+    return BoundedCochain(P, 3, ev,
+                          action=lambda a, z: pushforward(k.psi(a), z),
                           name=f"theta({k.name})")
 
 
@@ -462,7 +457,8 @@ def lambda_chain(k: AbstractKernel, k2: AbstractKernel, h,
             - m2_chain(G, k2.f(a, b), h(P.mul(a, b)), cutoff)
         )
 
-    return BoundedCochain(P, 2, ev, module=chain_module(k),
+    return BoundedCochain(P, 2, ev,
+                          action=lambda a, z: pushforward(k.psi(a), z),
                           name=f"lambda({k.name})")
 
 
@@ -494,8 +490,6 @@ def t_chain(ext: ExtensionData,
         )
         return first - second
 
-    module = CoefficientModule.chain_valued(
-        G, 2,
-        action=lambda y, z: pushforward(k.psi(ext.sigma(y)), z),
-    )
-    return BoundedCochain(Gm, 2, ev, module=module, name=f"T({ext.name})")
+    return BoundedCochain(
+        Gm, 2, ev, action=lambda y, z: pushforward(k.psi(ext.sigma(y)), z),
+        name=f"T({ext.name})")

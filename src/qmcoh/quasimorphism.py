@@ -409,10 +409,6 @@ class PulledBackCocycle(Cochain2):
         return self.inner.evaluate(tuple(self._map(x) for x in entry))
 
 
-def pullback_cocycle(aut, c: Cochain2) -> PulledBackCocycle:
-    return PulledBackCocycle(aut, c)
-
-
 def cocycle_defect(c, g, h, k, group) -> Fraction:
     """dc(g,h,k) = c(h,k) - c(gh,k) + c(g,hk) - c(g,h)."""
     return (

@@ -70,10 +70,10 @@ from .quasimorphism import (
     DefectCocycle,
     Homogenization,
     HomogeneousCocycle,
+    PulledBackCocycle,
     homogeneous_cocycle,
     homogeneous_representative,
     homogenize,
-    pullback_cocycle,
 )
 from .spectral import (
     SpectralSequence,
@@ -155,10 +155,7 @@ class VerifyContext:
     @property
     def model(self):
         if self._model is None:
-            self._model = CentralExtensionModel(
-                self.ext.g, self.cocycle, window=self.window,
-                n_max=self.n_max,
-            )
+            self._model = CentralExtensionModel(self.ext.g, self.cocycle)
         return self._model
 
     def pi_pool(self, bound: int = 4):
@@ -545,7 +542,7 @@ def _lift_deviation(ctx, rng):
     for _ in range(ctx.samples):
         aut = ctx.kernel.psi(rng.choice(pool))
         lifted = lift_automorphism(model, aut)
-        pulled = pullback_cocycle(aut, c)
+        pulled = PulledBackCocycle(aut, c)
         x = model.random_element(rng, 5)
         y = model.random_element(rng, 5)
         dev = lift_deviation(model, lifted, x, y)
@@ -641,7 +638,7 @@ def _composition_coboundary(ctx, rng):
     for _ in range(ctx.samples):
         a, b, c, z = (rng.choice(pool) for _ in range(4))
         pulled = composition_cochain(
-            pullback_cocycle(ker.psi(a), ctx.cocycle), ker,
+            PulledBackCocycle(ker.psi(a), ctx.cocycle), ker,
         )
         t.check(
             d_comp(a, b, c, z) == direct(b, c, z) - pulled(b, c, z),

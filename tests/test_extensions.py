@@ -15,7 +15,6 @@ from qmcoh.extensions import (
     DEFAULT_CUTOFF,
     AbstractKernel,
     CentralExtensionModel,
-    chain_module,
     check_nonabelian_cocycle,
     composition_cochain,
     lambda_chain,
@@ -39,9 +38,9 @@ from qmcoh.groups import TwistedProduct, inner_automorphism
 from qmcoh.quasimorphism import (
     BrooksQuasimorphism,
     DefectCocycle,
+    PulledBackCocycle,
     homogeneous_cocycle,
     homogenize,
-    pullback_cocycle,
 )
 
 EXT = semidirect_f2_z()
@@ -258,6 +257,20 @@ def test_shift_matches_homogenization_on_defect_model():
         assert abs(model.phi((Fraction(0), g)) - phi(g)) <= 6
 
 
+def test_shift_is_exact_where_power_values_settle_late():
+    # w = b'^11 and g = b': phi_w(g) = 0 but every period of g^Z holds
+    # one occurrence of w, so the shift is 1; the values c(g^n, g) only
+    # settle from n = 10 on
+    phi = BrooksQuasimorphism(words.parse("b'" * 11))
+    model = CentralExtensionModel(F2, DefectCocycle(phi))
+    g = words.parse("b'")
+    assert model.shift(g) == 1
+    assert model.phi(model.section(g)) == 0
+    assert model.shift(words.parse("a")) == 0
+    with pytest.raises(TypeError, match="phi"):
+        CentralExtensionModel(F2, PulledBackCocycle(KER.psi(GEN), CX)).shift(g)
+
+
 def test_section_power_and_conjugation_laws():
     rng = random.Random(9)
     for _ in range(10):
@@ -335,7 +348,7 @@ def test_lift_deviation_is_cocycle_pullback_difference():
     for a_pow in (1, 2, -1, 3):
         aut = KER.psi(words.power(GEN, a_pow))
         lifted = lift_automorphism(MODEL, aut)
-        pulled = pullback_cocycle(aut, CX)
+        pulled = PulledBackCocycle(aut, CX)
         for _ in range(12):
             x = MODEL.random_element(rng, 6)
             y = MODEL.random_element(rng, 6)
@@ -389,7 +402,7 @@ def test_composition_coboundary_swaps_in_the_pulled_back_cocycle():
     pool = pi_elements(EXT.pi, bound=4)
     for _ in range(6):
         a, b, c, z = (rng.choice(pool) for _ in range(4))
-        pulled = composition_cochain(pullback_cocycle(KER.psi(a), CX), KER)
+        pulled = composition_cochain(PulledBackCocycle(KER.psi(a), CX), KER)
         direct = composition_cochain(CX, KER)
         assert comp(a, b, c, z) == direct(b, c, z) - pulled(b, c, z)
 
@@ -475,7 +488,8 @@ def test_plain_lambda_leaves_a_residue():
             - m2_chain(F2, ph_b, KER.f(a, b), DEFAULT_CUTOFF)
         )
 
-    rho = BoundedCochain(EXT.pi, 2, rho_ev, module=chain_module(KER))
+    rho = BoundedCochain(EXT.pi, 2, rho_ev,
+                         action=lambda a, z: pushforward(KER.psi(a), z))
     d_lam, d_rho = coboundary(lam), coboundary(rho)
     theta = theta_chain(KER)
     theta2 = theta_chain(k2)
@@ -547,7 +561,7 @@ def test_swap_symmetrized_cocycle_is_invariant_for_the_split_kernel():
     c = swap_invariant_cocycle()
     k = split_swap(decorated=True).kernel()
     for alpha in (1, 2):
-        pulled = pullback_cocycle(k.psi(alpha), c)
+        pulled = PulledBackCocycle(k.psi(alpha), c)
         for _ in range(15):
             g = F2.random_element(rng, 8)
             h = F2.random_element(rng, 8)

@@ -2,7 +2,8 @@
 
 Every public function, class and method of ``qmcoh`` is read somewhere
 in the package outside its own definition, so no public entry point
-lives only for the tests; so is every private (single-underscore)
+lives only for the tests, apart from the few that the benchmark's
+tracing still binds; so is every private (single-underscore)
 top-level function and method, so no helper outlives its last caller;
 and every name a module of the package or of the tests imports is read
 in that module. All three read code, not text: a name is read where it
@@ -18,15 +19,13 @@ import qmcoh
 
 SRC = Path(qmcoh.__file__).parent
 TESTS = Path(__file__).parent
+TRACING = TESTS.parent / "perfbench" / "tracing.py"
 
-# Reached only by tests today; ROADMAP item 2 (the benchmark revision)
-# deletes the linalg helpers together with their bindings in
-# perfbench/tracing.py, and takes the homogeneous cochain picture with
-# them.
-DEFERRED = {
-    "in_span", "subspace_sum", "intersect",
-    "homogeneous_coboundary", "to_homogeneous", "to_inhomogeneous",
-}
+# Read by no package code, but bound by the benchmark's tracing
+# (perfbench/tracing.py), which wraps the linalg helpers and
+# InvariantCochain.__call__; ROADMAP item 2 (the benchmark revision)
+# deletes them together with those bindings.
+DEFERRED = {"in_span", "subspace_sum", "intersect", "InvariantCochain"}
 
 
 def reads(tree):
@@ -100,6 +99,24 @@ def imported_names(tree):
 
 def test_every_public_name_is_used_inside_the_package():
     assert unread_definitions(public_definitions) == DEFERRED
+
+
+def test_every_deferred_name_is_bound_by_the_tracing():
+    """Each deferred name is read in the tracing code, as a name or as a
+    string argument (``function(linalg, "in_span", ...)``); docstrings
+    do not count."""
+    tree = ast.parse(TRACING.read_text())
+    scopes = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    docstrings = {
+        id(node.body[0].value) for node in ast.walk(tree)
+        if isinstance(node, scopes) and ast.get_docstring(node) is not None
+    }
+    bound = {name for name, _ in reads(tree)} | {
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and id(node) not in docstrings
+    }
+    assert DEFERRED <= bound
 
 
 def test_every_private_helper_is_used_inside_the_package():

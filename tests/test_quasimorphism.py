@@ -11,6 +11,7 @@ from qmcoh.quasimorphism import (
     Cochain2,
     DefectCocycle,
     Homogenization,
+    PulledBackCocycle,
     SumQuasimorphism,
     cocycle_defect,
     count_occurrences,
@@ -18,7 +19,6 @@ from qmcoh.quasimorphism import (
     homogeneous_cocycle,
     homogeneous_representative,
     homogenize,
-    pullback_cocycle,
     stable_drift,
 )
 from qmcoh.words import Pow, parse
@@ -242,7 +242,7 @@ def test_defect_cocycle_pow_entries():
 def test_pullback_by_inner_fixes_homogeneous():
     c = homogeneous_cocycle(BrooksQuasimorphism(p("ab")))
     i = inner_automorphism(F2, p("ab'"))
-    cc = pullback_cocycle(i, c)
+    cc = PulledBackCocycle(i, c)
     rng = random.Random(5)
     for _ in range(15):
         g = F2.random_element(rng, 6)
@@ -254,7 +254,7 @@ def test_pullback_by_inner_fixes_homogeneous():
 def test_pullback_keeps_powers_symbolic():
     c = homogeneous_cocycle(BrooksQuasimorphism(p("ab")))
     i = inner_automorphism(F2, p("b"))
-    cc = pullback_cocycle(i, c)
+    cc = PulledBackCocycle(i, c)
     g = p("ab")
     assert cc.evaluate((Pow(g, 2**30), Pow(g, 2**30))) == 0
 
