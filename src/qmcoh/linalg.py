@@ -290,6 +290,25 @@ class Gf2Ops:
     def echelon(self):
         return _Gf2Echelon()
 
+    def pivots(self, columns):
+        """Reduce the columns in order, each by the reduced ones before
+        it, on its lowest set bit; the pivot bit of each reduced column,
+        or None for one that reduced to zero. No combos are kept."""
+        reduced: dict = {}  # pivot bit -> reduced column
+        out = []
+        for v in columns:
+            pivot = None
+            while v:
+                low = (v & -v).bit_length() - 1
+                hit = reduced.get(low)
+                if hit is None:
+                    reduced[low] = v
+                    pivot = low
+                    break
+                v ^= hit
+            out.append(pivot)
+        return out
+
 
 class FieldOps:
     """Sparse vectors over an arbitrary exact field.
@@ -372,6 +391,42 @@ class FieldOps:
 
     def echelon(self):
         return _FieldEchelon(self.field)
+
+    def pivots(self, columns):
+        """Reduce the columns in order, each by the reduced ones before
+        it, on its lowest stored coordinate; the pivot coordinate of each
+        reduced column, or None for one that reduced to zero. A reduced
+        column is stored with 1 at its pivot, as in the echelon, and no
+        combos are kept."""
+        F = self.field
+        p = F.p
+        reduced: dict = {}  # pivot coordinate -> reduced column
+        out = []
+        for v in columns:
+            v = dict(v)
+            pivot = None
+            while v:
+                lead = min(v)
+                row = reduced.get(lead)
+                if row is None:
+                    inv = F.inv(v[lead])
+                    if p:
+                        reduced[lead] = {j: inv * x % p for j, x in v.items()}
+                    else:
+                        reduced[lead] = {j: inv * x for j, x in v.items()}
+                    pivot = lead
+                    break
+                c = v[lead]
+                for j, x in row.items():
+                    s = v.get(j, 0) - c * x
+                    if p:
+                        s %= p
+                    if s:
+                        v[j] = s
+                    else:
+                        del v[j]
+            out.append(pivot)
+        return out
 
 
 def vector_ops(field, width: int):

@@ -5,28 +5,38 @@ A ``FiniteComplex`` is a finite tower of based vector spaces with
 differentials given column-wise. A ``Filtration`` is a decreasing,
 differential-stable chain of subspaces in every degree, with ``F^0``
 the whole space and ``F^p = 0`` beyond the regularity bound ``u(n)``,
-given as one level per coordinate, so that every lattice step below is
-a mask projection. A filtration given by spanning vectors (random
+given as one level per coordinate, so that every subspace below is a
+mask projection. A filtration given by spanning vectors (random
 complexes, JSON input) is rewritten in an adapted basis, once, by
-``adapt_filtration``. Pages come from the classical lattice
+``adapt_filtration``.
+
+Pages come from the persistence pairing (``PersistencePairing``): one
+column reduction of each differential, in an order compatible with the
+filtration, pairs a source level s with a target level t, and the pair
+lives on the pages E_0 .. E_{t-s} (Basu & Parida, "Spectral sequences,
+exact couples and persistent homology of filtrations", Expo. Math. 35,
+2017). Every dimension and every d_r rank is a count of pairs, which
+is what ``sequence_report``, ``e_infinity_check`` and ``qmcoh ss``
+read. A level may exceed its degree: cells with q < 0 are cells like
+any other. Everything is exact arithmetic; there is no floating point
+anywhere below.
+
+``SpectralSequence`` keeps the classical lattice
 
     Z_r = F^p  meet  d^{-1}(F^{p+r}),
     B_r = F^p  meet  d(F^{p-r})  =  d(Z_r[p-r]),
     E_r = Z_r / (Z_{r-1}[p+1] + B_{r-1}),
 
-so boundaries are read off cached cycles (F^{p-r} is F^0 for p < r),
-and the induced differential d_r is evaluated on chosen coset
-representatives, one solve per target cell. Spans are kept as lists
-and reduced only where a basis is read. A level may exceed its degree:
-cells with q < 0 are cells like any other. Everything is exact
-arithmetic; there is no floating point anywhere below.
+with d_r evaluated on coset representatives, only as the independent
+check that the ``page-consistency`` identity of ``verify`` runs.
 
 The double complex of a finite group extension is instantiated with
 trivial one-dimensional coefficients: horizontal cochains on the
 quotient, vertical cochains built from orbit functions on tuples over
 the ambient group. The fiber acts freely, so each orbit is read off
-its first entry in closed form, and every column is summed over the
-integers and reduced into the field once, when it is stored. Its
+its first entry in closed form; tuples are base-|Gamma| codes, so the
+orbit and action tables are digit arithmetic. Every column is summed
+over the integers and reduced into the field once, when it is stored. Its
 vertical (column) filtration gives block (p, q) level p.
 """
 
@@ -213,9 +223,18 @@ def adapt_filtration(cx: FiniteComplex, bases):
 
 
 class SpectralSequence:
-    """Page computations for one filtered complex, with caching. Cells
+    """The subspace lattice of one filtered complex, with caching. Cells
     are available for p + q <= max_degree - 1; induced differentials
-    additionally need p + q <= max_degree - 2."""
+    additionally need p + q <= max_degree - 2.
+
+    Pages are read off ``PersistencePairing``; this lattice stays only
+    because ``page-consistency`` checks the induced differentials with
+    it (d_r d_r = 0 and the rank bookkeeping), and under the pairing
+    that bookkeeping holds by construction. It can leave once that
+    identity checks the pairing against ranks of masked submatrices
+    instead. Boundaries are read off cached cycles (F^{p-r} is F^0 for
+    p < r), d_r is one solve per target cell, and spans are kept as
+    lists and reduced only where a basis is read."""
 
     def __init__(self, cx: FiniteComplex, filt: Filtration):
         if filt.cx is not cx:
@@ -337,6 +356,98 @@ class SpectralSequence:
         ops = vector_ops(self.cx.field, h2)
         return all(map(ops.is_zero, matmul(self.cx.field, cols2, cols1, h2)))
 
+
+class PersistencePairing:
+    """Every page of one filtered complex, read off one column reduction
+    of each differential (Zomorodian & Carlsson, DCG 33, 2005).
+
+    The columns of d_n are reduced by descending (level, index), so a
+    column only receives columns of its own level or above, and each
+    pivots on its nonzero row of lowest (level, index). A column of
+    level s whose pivot row has level t is a pair (s, t): it lives on
+    E_0 .. E_{t-s} at level s of degree n, with its target at level t of
+    degree n + 1, and d_{t-s} kills both. So dim E_r^{p,q} is the number
+    of coordinates of level p in degree p + q less the pairs with an end
+    there and a gap below r, and d_r out of (p, q) has rank the number
+    of pairs of d_{p+q} at (p, p + r). The pairs do not depend on the
+    order of ties, which makes any (level, index) order a valid one.
+
+    Degrees are reduced lowest first, each once. Clearing (Chen &
+    Kerber, EuroCG 2011): the pivot rows of d_{n-1} are coordinates of
+    degree n whose columns of d_n reduce to zero, since a reduced column
+    of d_{n-1} is a cocycle whose other entries sort after its pivot,
+    so those columns are skipped."""
+
+    def __init__(self, cx: FiniteComplex, filt: Filtration):
+        if filt.cx is not cx:
+            raise ValueError("filtration belongs to a different complex")
+        self.cx = cx
+        self.filt = filt
+        self._pairs: list = []  # degree -> {(s, t): count}
+        self._cleared: set = set()  # pivot rows of the last reduced degree
+
+    def _sorted(self, n: int):
+        """(levels in (level, index) order, the coordinates in that order,
+        or None where they already are)."""
+        lv = self.filt.levels[n]
+        if all(a <= b for a, b in zip(lv, lv[1:])):
+            return lv, None
+        order = sorted(range(len(lv)), key=lv.__getitem__)
+        return [lv[i] for i in order], order
+
+    def _reduce(self, n: int) -> dict:
+        src_levels, src_order = self._sorted(n)
+        tgt_levels, tgt_order = self._sorted(n + 1)
+        cols = self.cx.diffs[n]
+        if src_order is not None:
+            cols = [cols[i] for i in src_order]
+        ops = self.cx.ops[n + 1]
+        if tgt_order is not None:
+            # renumber the rows once, so that a pivot is a lowest index:
+            # row i moves to the unit vector of its place in the order
+            units = [None] * len(tgt_order)
+            for k, i in enumerate(tgt_order):
+                units[i] = ops.basis_vector(k)
+            cols = [ops.combine(col, units) for col in cols]
+        keep = [j for j in reversed(range(len(cols)))
+                if j not in self._cleared]
+        pairs: dict = {}
+        rows = set()
+        for j, row in zip(keep, ops.pivots([cols[j] for j in keep])):
+            if row is not None:
+                key = (src_levels[j], tgt_levels[row])
+                pairs[key] = pairs.get(key, 0) + 1
+                rows.add(row)
+        self._cleared = rows
+        return pairs
+
+    def pairs(self, n: int) -> dict:
+        """{(s, t): count} over the pairs of d_n; empty for a degree with
+        no differential."""
+        if n < 0 or n >= len(self.cx.diffs):
+            return {}
+        while len(self._pairs) <= n:
+            self._pairs.append(self._reduce(len(self._pairs)))
+        return self._pairs[n]
+
+    def dim(self, r: int, p: int, q: int) -> int:
+        n = p + q
+        if p < 0 or n < 0 or n > self.cx.max_degree - 1:
+            return 0
+        born = sum(k for (s, t), k in self.pairs(n).items()
+                   if s == p and t - s < r)
+        died = sum(k for (s, t), k in self.pairs(n - 1).items()
+                   if t == p and t - s < r)
+        return self.filt.levels[n].count(p) - born - died
+
+    def d_rank(self, r: int, p: int, q: int) -> int:
+        if p < 0:
+            return 0
+        n = p + q
+        if n > self.cx.max_degree - 2:
+            raise ValueError("induced differential needs two more degrees")
+        return self.pairs(n).get((p, p + r), 0)
+
     # -------------------------------------------------------- convergence
 
     def stable_r(self, p: int, q: int) -> int:
@@ -350,7 +461,7 @@ class SpectralSequence:
         return self.dim(self.stable_r(p, q), p, q)
 
 
-def e_infinity_check(engine: SpectralSequence, n: int) -> dict:
+def e_infinity_check(engine: PersistencePairing, n: int) -> dict:
     """Compare the stable page total on an antidiagonal against the
     homology of the underlying complex."""
     cx = engine.cx
@@ -396,6 +507,96 @@ def hs_memory_estimate_mb(ext, field, max_total: int) -> float:
     return entries * unit / 2 ** 20
 
 
+def _orbit_tables(ext, max_total: int):
+    """(act, vert) of ``hs_double_complex``, by base-|Gamma| digit
+    arithmetic on the 1-based elements of the ambient group.
+
+    A t-tuple is the code sum (x_k - 1) |Gamma|^(t - k), so codes ascend
+    as the tuples do. The orbit representatives of length t, the tuples
+    whose first entry is a coset minimum, are numbered by (minimum,
+    rest) in code order. Each element that moves tuples, a fiber
+    translate of ``least`` or a section image, gets a left-translation
+    table per length, each built from the one below by appending a
+    digit. The orbit of a tuple is then one lookup: translate its rest
+    by the ``least`` element of its first entry. Face i >= 1 of a
+    representative drops a digit and keeps its first entry, so it is a
+    representative already and needs no multiplication.
+
+    ``act[q][alpha]`` maps representative i of length q + 1 to the orbit
+    of s(alpha) times it. ``vert[q][o]`` lists (target, omitted slot i)
+    over the representatives of length q + 2 whose face i lies in orbit
+    o, targets ascending, then slots."""
+    gamma, pi = ext.gamma, ext.pi
+    size = gamma.order
+    subgroup = [ext.include(x) for x in ext.g.elements()]
+    elts = range(1, size + 1)
+    # least[d] is the fiber element h that makes h.x least in its coset,
+    # for the element x of digit d
+    least = [min(subgroup, key=lambda h: gamma.mul(h, x)) for x in elts]
+    minima = sorted({gamma.mul(h, x) for h, x in zip(least, elts)})
+    rank = {m - 1: k for k, m in enumerate(minima)}  # by digit
+    pi_elts = tuple(sorted(pi.elements()))
+    section = {alpha: ext.section(alpha) for alpha in pi_elts}
+
+    # translate[h][t][code]: the code of h times a t-tuple, t <= max_total
+    translate = {}
+    for h in set(least) | set(section.values()):
+        one = [gamma.mul(h, x) - 1 for x in elts]
+        tables = [[0]]
+        for _ in range(max_total):
+            tables.append([a * size + b for a in tables[-1] for b in one])
+        translate[h] = tables
+
+    def orbits_of(t, first, rests):
+        """The orbit index of each tuple (first, rest) of length t, for
+        rest the code of a (t - 1)-tuple."""
+        h = least[first - 1]
+        base = rank[gamma.mul(h, first) - 1] * size ** (t - 1)
+        moved = translate[h][t - 1]
+        return [base + moved[c] for c in rests]
+
+    # quotient action on orbit bases, one permutation per element
+    act = {}
+    for q in range(max_total + 1):
+        table = {}
+        for alpha in pi_elts:
+            s = section[alpha]
+            # s.(m, rest) = (s.m, s.rest)
+            table[alpha] = [o for m in minima for o in orbits_of(
+                q + 1, gamma.mul(s, m), translate[s][q])]
+        for a in pi_elts:
+            for b in pi_elts:
+                ab = pi.mul(a, b)
+                composed = [table[a][i] for i in table[b]]
+                if composed != table[ab]:
+                    raise InvariantViolation(
+                        f"quotient action fails to compose at ({a}, {b})")
+        act[q] = table
+
+    def dropping(q, j):
+        """The representative index of face j + 1 of each representative
+        of length q + 2: digit j of its rest is dropped."""
+        w = size ** (q - j)
+        return (k * size ** q + hi * w + lo for k in range(len(minima))
+                for hi in range(size ** j) for _ in elts for lo in range(w))
+
+    # vertical differential on orbit functions: column src lists
+    # (target, omitted slot i), of sign (-1)^i
+    vert = {}
+    for q in range(max_total):
+        below = size ** q
+        # face 0 drops the first entry, leaving a (q + 1)-tuple
+        first = [o for x in elts for o in orbits_of(q + 1, x, range(below))]
+        faces = [first * len(minima)]
+        faces += [dropping(q, j) for j in range(q + 1)]
+        cols = [[] for _ in range(len(minima) * below)]
+        for tgt, targets in enumerate(zip(*faces)):
+            for i, o in enumerate(targets):
+                cols[o].append((tgt, i))
+        vert[q] = cols
+    return act, vert
+
+
 def hs_double_complex(ext, field=GF2, max_total: int = 5):
     """Total complex and column filtration of the quotient-by-fiber
     double complex of a finite extension, with trivial one-dimensional
@@ -407,16 +608,14 @@ def hs_double_complex(ext, field=GF2, max_total: int = 5):
     least tuple. The fiber acts freely by left multiplication, so that
     tuple is the translate whose first entry is least, and the orbits of
     length t are (coset minimum, any t - 1 elements) in lexicographic
-    order. Columns are summed over the integers, signs included, and
-    ``from_sparse`` reduces them into the field. Returns (complex,
-    filtration, layout info).
+    order (``_orbit_tables``). Columns are summed over the integers,
+    signs included, and ``from_sparse`` reduces them into the field.
+    Returns (complex, filtration, layout info).
     """
     gamma, pi, g = ext.gamma, ext.pi, ext.g
     for grp in (gamma, pi, g):
         if not isinstance(grp, FiniteGroup):
             raise TypeError("double complex needs finite groups throughout")
-    subgroup = [ext.include(x) for x in g.elements()]
-    elts = sorted(gamma.elements())
     pi_elts = tuple(sorted(pi.elements()))
 
     est_mb = hs_memory_estimate_mb(ext, field, max_total)
@@ -426,48 +625,9 @@ def hs_double_complex(ext, field=GF2, max_total: int = 5):
             f"estimated {est_mb:.0f} MB for the double complex exceeds "
             f"QMCOH_BUDGET_MB={budget}")
 
-    # orbit bases of the vertical modules, per tuple length: least[x] is
-    # the fiber element h that makes h.x least in its coset
-    least = {x: min(subgroup, key=lambda h: gamma.mul(h, x)) for x in elts}
-    minima = sorted({gamma.mul(least[x], x) for x in elts})
-    orbits = {t: list(itertools.product(minima, *[elts] * (t - 1)))
-              for t in range(1, max_total + 2)}
-    orb_index = {t: {rep: i for i, rep in enumerate(reps)}
-                 for t, reps in orbits.items()}
-
-    def orbit_of(t, tup):
-        h = least[tup[0]]
-        return orb_index[t][tuple(gamma.mul(h, x) for x in tup)]
-
-    # quotient action on orbit bases, one permutation per element
-    act = {}
-    for q in range(max_total + 1):
-        t = q + 1
-        table = {}
-        for alpha in pi_elts:
-            s = ext.section(alpha)
-            table[alpha] = [
-                orbit_of(t, tuple(gamma.mul(s, x) for x in rep))
-                for rep in orbits[t]]
-        for a in pi_elts:
-            for b in pi_elts:
-                ab = pi.mul(a, b)
-                composed = [table[a][i] for i in table[b]]
-                if composed != table[ab]:
-                    raise InvariantViolation(
-                        f"quotient action fails to compose at ({a}, {b})")
-        act[q] = table
-
-    # vertical differential on orbit functions: column src lists
-    # (target, omitted slot i), of sign (-1)^i
-    vert = {}
-    for q in range(max_total):
-        t = q + 2
-        cols = [[] for _ in orbits[q + 1]]
-        for tgt, rep in enumerate(orbits[t]):
-            for i in range(t):
-                cols[orbit_of(t - 1, rep[:i] + rep[i + 1:])].append((tgt, i))
-        vert[q] = cols
+    act, vert = _orbit_tables(ext, max_total)
+    # orbits of (q + 1)-tuples, the width of a block of fiber degree q
+    n_orbits = [len(act[q][pi_elts[0]]) for q in range(max_total + 1)]
 
     tuples = {p: list(itertools.product(pi_elts, repeat=p))
               for p in range(max_total + 1)}
@@ -475,7 +635,7 @@ def hs_double_complex(ext, field=GF2, max_total: int = 5):
                  for p in tuples}
 
     def block_dim(p, q):
-        return len(tuples[p]) * len(orbits[q + 1])
+        return len(tuples[p]) * n_orbits[q]
 
     dims = []
     offsets = []
@@ -497,8 +657,8 @@ def hs_double_complex(ext, field=GF2, max_total: int = 5):
         cols = []
         for p in range(n + 1):
             q = n - p
-            n_orb = len(orbits[q + 1])
-            n_orb_up = len(orbits[q + 2])
+            n_orb = n_orbits[q]
+            n_orb_up = n_orbits[q + 1]
             horiz_base = offsets[n + 1][p + 1]
             vert_base = offsets[n + 1][p]
             up_index = tup_index[p + 1]
@@ -621,7 +781,7 @@ def sequence_report(cx: FiniteComplex, filt: Filtration,
     page-homology consistency, and the stable-page/homology comparison.
     Total degree n lists the cells p = 0..max(n, level_bound(n)), so a
     filtration level above its degree shows its q < 0 cells too."""
-    engine = SpectralSequence(cx, filt)
+    engine = PersistencePairing(cx, filt)
     window = min(window, cx.max_degree - 1)
     pages = []
     for r in range(max_r + 1):
@@ -638,9 +798,12 @@ def sequence_report(cx: FiniteComplex, filt: Filtration,
     for r in range(max_r):
         for n in range(min(window, cx.max_degree - 2) + 1):
             for p in range(max(n, filt.level_bound(n)) + 1):
+                q = n - p
+                kept = (engine.dim(r, p, q) - engine.d_rank(r, p, q)
+                        - engine.d_rank(r, p - r, q + r - 1))
                 consistency.append(
-                    {"r": r, "p": p, "q": n - p,
-                     "ok": engine.consistency_ok(r, p, n - p)})
+                    {"r": r, "p": p, "q": q,
+                     "ok": engine.dim(r + 1, p, q) == kept})
     einf = [e_infinity_check(engine, n) for n in range(window + 1)]
     return {"field": field_name(cx.field),
             "dims": list(cx.dims),

@@ -76,6 +76,7 @@ from .quasimorphism import (
     homogenize,
 )
 from .spectral import (
+    PersistencePairing,
     SpectralSequence,
     e_infinity_check,
     hs_double_complex,
@@ -173,8 +174,7 @@ class VerifyContext:
 
     def hs(self):
         if self._hs is None:
-            cx, filt, info = hs_double_complex(z4_extension())
-            self._hs = (cx, filt, info, SpectralSequence(cx, filt))
+            self._hs = hs_double_complex(z4_extension())
         return self._hs
 
 
@@ -801,7 +801,8 @@ def _section_restriction(ctx, rng):
        " d_r d_r = 0")
 def _page_consistency(ctx, rng):
     t = _Tally()
-    _, _, _, engine = ctx.hs()
+    cx, filt, _ = ctx.hs()
+    engine = SpectralSequence(cx, filt)
     cells = [(p, n - p) for n in range(4) for p in range(n + 1)]
     for r in range(1, 5):
         for p, q in cells:
@@ -823,7 +824,8 @@ def _page_consistency(ctx, rng):
        "sum_p dim E_inf^(p, n-p) = dim H^n; random complexes converge")
 def _e_infinity(ctx, rng):
     t = _Tally()
-    _, _, _, engine = ctx.hs()
+    cx, filt, _ = ctx.hs()
+    engine = PersistencePairing(cx, filt)
     for n in range(4):
         rep = e_infinity_check(engine, n)
         t.check(
@@ -849,8 +851,8 @@ def _e_infinity(ctx, rng):
        " bottom row carries the invariants")
 def _hs_degeneration(ctx, rng):
     t = _Tally()
-    cx, _filt, info, _engine = ctx.hs()
-    engine = SpectralSequence(cx, hs_row_filtration(cx, info))
+    cx, _filt, info = ctx.hs()
+    engine = PersistencePairing(cx, hs_row_filtration(cx, info))
     for n in range(4):
         for level in range(n + 1):
             q = n - level

@@ -65,6 +65,7 @@ from qmcoh.quasimorphism import (
     homogeneous_cocycle,
 )
 from qmcoh.spectral import (
+    PersistencePairing,
     SpectralSequence,
     e_infinity_check,
     hs_double_complex,
@@ -519,14 +520,15 @@ def test_c15_spectral_pages_match_the_finite_oracle():
     for r in range(1, 5):
         for p, q in cells:
             assert engine.consistency_ok(r, p, q), (r, p, q)
+    pairing = PersistencePairing(cx, filt)
     for n in range(4):
-        rep = e_infinity_check(engine, n)
+        rep = e_infinity_check(pairing, n)
         assert rep["ok"], rep
         assert rep["total"] == rep["homology"] == 1, rep
 
     for seed in range(25):
         rcx, rfilt, hom = random_filtered_complex(seed)
-        reng = SpectralSequence(rcx, rfilt)
+        reng = PersistencePairing(rcx, rfilt)
         for n in range(rcx.max_degree):
             rep = e_infinity_check(reng, n)
             assert rep["ok"], (seed, n, rep)

@@ -440,3 +440,35 @@ def test_outside_masks():
     fm = fops.mask([1, 3])
     assert fops.outside(fops.from_entries([1, 2, 3, 4]), fm) == \
         fops.from_entries([1, 0, 3, 0])
+
+
+@pytest.mark.parametrize("name", ["F2", "F3", "Q"])
+def test_pivots_are_where_a_column_first_adds_rank(name):
+    # a reduced column's pivot is the lowest row i at which the columns
+    # up to it have more rank on the rows <= i than the columns before
+    # it: the column operations keep every prefix's span, and reduced
+    # columns with distinct lowest rows are independent on any such rows
+    field = FIELDS[name]
+    rng = random.Random(f"pivots:{name}")
+    for height in range(1, 7):
+        ops = vector_ops(field, height)
+        low_rows = [ops.mask(range(i + 1, height)) for i in range(height)]
+        for _ in range(20):
+            cols = [ops.from_entries([rng.choice([0, 0, 1, 2])
+                                      for _ in range(height)])
+                    for _ in range(rng.randrange(1, 7))]
+            cols.append(ops.add(cols[0], cols[-1]))  # a dependent column
+
+            def rank_low(k, i):
+                return rank_of(ops, [ops.outside(c, low_rows[i])
+                                     for c in cols[:k]])
+
+            want = [next((i for i in range(height)
+                          if rank_low(k + 1, i) > rank_low(k, i)), None)
+                    for k in range(len(cols))]
+            assert ops.pivots(cols) == want, cols
+            if name == "F2":  # the sparse loop agrees with the bit loop
+                sparse = FieldOps(GF2, height)
+                assert sparse.pivots(
+                    [sparse.from_entries(ops.entries(c)) for c in cols]) \
+                    == want

@@ -12,8 +12,9 @@ from qmcoh.groups import FiniteGroup
 from qmcoh.linalg import FIELDS, rank_of, vector_ops
 from qmcoh.spectral import (DEFAULT_BUDGET_MB, DEFAULT_WINDOW,
                             ENTRY_BYTES_PRIME, ENTRY_BYTES_RATIONAL,
-                            FiniteComplex, Filtration,
-                            SpectralSequence, adapt_filtration,
+                            FiniteComplex, Filtration, PersistencePairing,
+                            SpectralSequence, _orbit_tables,
+                            adapt_filtration,
                             complex_from_json,
                             complex_to_json, e_infinity_check,
                             hs_double_complex, hs_memory_estimate_mb,
@@ -23,6 +24,7 @@ from qmcoh.spectral import (DEFAULT_BUDGET_MB, DEFAULT_WINDOW,
 
 CX, FILT, INFO = hs_double_complex(z4_extension())
 ENGINE = SpectralSequence(CX, FILT)
+PAIRING = PersistencePairing(CX, FILT)
 
 WINDOW_CELLS = [(p, n - p) for n in range(4) for p in range(n + 1)]
 
@@ -63,15 +65,16 @@ def test_induced_differential_squares_to_zero():
 
 def test_stable_page_matches_ambient_homology():
     for n in range(4):
-        report = e_infinity_check(ENGINE, n)
+        report = e_infinity_check(PAIRING, n)
         assert report["homology"] == 1
         assert report["ok"], report
 
 
 def test_stationarity_at_predicted_page():
     for p, q in WINDOW_CELLS:
-        r0 = ENGINE.stable_r(p, q)
-        assert ENGINE.dim(r0, p, q) == ENGINE.dim(r0 + 1, p, q)
+        r0 = PAIRING.stable_r(p, q)
+        assert ENGINE.dim(r0, p, q) == ENGINE.dim(r0 + 1, p, q) \
+            == PAIRING.e_infinity_dim(p, q)
 
 
 def test_nonsplit_extension_has_a_transgression():
@@ -174,7 +177,7 @@ def test_double_complex_computes_the_cohomology_of_the_ambient_group(
     cx, filt, _ = hs_double_complex(EXTENSIONS[ext](), field=FIELDS[name],
                                     max_total=4)
     assert [cx.homology_dim(n) for n in range(4)] == cohomology
-    engine = SpectralSequence(cx, filt)
+    engine = PersistencePairing(cx, filt)
     for n in range(4):
         assert e_infinity_check(engine, n)["ok"], n
 
@@ -304,7 +307,7 @@ def test_random_filtered_complexes_converge():
         widest = max([widest] + [
             sum(map(bool, cx.ops[n + 1].entries(col)))
             for n, cols in enumerate(cx.diffs) for col in cols])
-        engine = SpectralSequence(cx, filt)
+        engine = PersistencePairing(cx, filt)
         for n in range(cx.max_degree):
             report = e_infinity_check(engine, n)
             assert report["homology"] == hom[n], (seed, n)
@@ -359,7 +362,7 @@ def test_cells_below_the_first_quadrant_take_part():
     assert engine.d_rank(2, 0, 0) == 1
     for r in range(5):
         assert engine.consistency_ok(r, 0, 0), r
-    assert e_infinity_check(engine, 1)["ok"]
+    assert e_infinity_check(PersistencePairing(cx, engine.filt), 1)["ok"]
 
 
 def test_random_generator_is_deterministic():
@@ -378,7 +381,7 @@ def test_json_round_trip_all_fields():
         # adapter is the identity
         assert cx2.diffs == cx.diffs
         assert filt2.levels == filt.levels
-        engine = SpectralSequence(cx2, filt2)
+        engine = PersistencePairing(cx2, filt2)
         for n in range(cx2.max_degree):
             assert e_infinity_check(engine, n)["homology"] == hom[n]
     for name in ("F2", "F3", "Q"):
@@ -491,3 +494,99 @@ def test_report_is_convergent_and_ordered():
     assert rs == sorted(rs)
     for row in report["e_infinity"]:
         assert row["total"] == row["homology"] == 1
+
+
+def _pairing_case(case):
+    """(complex, filtration) of a named comparison case."""
+    if case == "q<0":
+        ops = vector_ops(FIELDS["F2"], 1)
+        cx = FiniteComplex(FIELDS["F2"], [1, 1, 1],
+                           [[ops.basis_vector(0)], [ops.zero_vec]])
+        return cx, Filtration(cx, [[0], [2], [0]])
+    if isinstance(case, int):
+        return random_filtered_complex(case)[:2]
+    name, max_total, direction = case
+    if (name, max_total) == ("F2", 5):
+        cx, filt, info = CX, FILT, INFO
+    else:
+        cx, filt, info = hs_double_complex(
+            z4_extension(), field=FIELDS[name], max_total=max_total)
+    return cx, filt if direction == "column" else hs_row_filtration(cx, info)
+
+
+@pytest.mark.parametrize("case", [
+    (name, max_total, direction)
+    for name, max_total in (("F2", 5), ("F3", 4), ("Q", 3))
+    for direction in ("column", "row")] + list(range(25)) + ["q<0"],
+    ids=lambda case: "-".join(map(str, case)) if isinstance(case, tuple)
+    else str(case))
+def test_pairing_equals_the_lattice(case):
+    # every page dimension and every d_r rank, on every cell the lattice
+    # defines; the row filtration's levels descend with the index, so it
+    # takes the renumbering path
+    cx, filt = _pairing_case(case)
+    lattice = SpectralSequence(cx, filt)
+    pairing = PersistencePairing(cx, filt)
+    for n in range(cx.max_degree):
+        for p in range(max(n, filt.level_bound(n)) + 1):
+            q = n - p
+            for r in range(6):
+                assert pairing.dim(r, p, q) == lattice.dim(r, p, q), \
+                    (r, p, q)
+                if r and n <= cx.max_degree - 2:
+                    assert pairing.d_rank(r, p, q) \
+                        == lattice.d_rank(r, p, q), (r, p, q)
+
+
+def test_the_report_never_reaches_the_lattice(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the report fell back to the lattice")
+
+    for attr in ("cycles", "boundaries", "representatives", "d_data"):
+        monkeypatch.setattr(SpectralSequence, attr, refuse)
+    report = sequence_report(CX, FILT)
+    assert report["converged"]
+    assert all(row["ok"] for row in report["consistency"])
+
+
+def _tuple_orbit_tables(ext, max_total):
+    """The builder's act and vert tables as they were computed before
+    digit arithmetic: each tuple is translated entry by entry with
+    ``gamma.mul`` and looked up by its least translate."""
+    gamma, pi = ext.gamma, ext.pi
+    subgroup = [ext.include(x) for x in ext.g.elements()]
+    elts = sorted(gamma.elements())
+    pi_elts = tuple(sorted(pi.elements()))
+    least = {x: min(subgroup, key=lambda h: gamma.mul(h, x)) for x in elts}
+    minima = sorted({gamma.mul(least[x], x) for x in elts})
+    orbits = {t: list(itertools.product(minima, *[elts] * (t - 1)))
+              for t in range(1, max_total + 2)}
+    orb_index = {t: {rep: i for i, rep in enumerate(reps)}
+                 for t, reps in orbits.items()}
+
+    def orbit_of(t, tup):
+        h = least[tup[0]]
+        return orb_index[t][tuple(gamma.mul(h, x) for x in tup)]
+
+    act = {q: {alpha: [
+        orbit_of(q + 1, tuple(gamma.mul(ext.section(alpha), x) for x in rep))
+        for rep in orbits[q + 1]] for alpha in pi_elts}
+        for q in range(max_total + 1)}
+    vert = {}
+    for q in range(max_total):
+        t = q + 2
+        cols = [[] for _ in orbits[q + 1]]
+        for tgt, rep in enumerate(orbits[t]):
+            for i in range(t):
+                cols[orbit_of(t - 1, rep[:i] + rep[i + 1:])].append((tgt, i))
+        vert[q] = cols
+    return act, vert
+
+
+@pytest.mark.parametrize("ext, max_total", [
+    ("z4-hs", 6), ("a3-s3", 4), ("z3-z6", 4), ("z2-z6", 4)])
+def test_orbit_tables_match_the_tuple_translation(ext, max_total):
+    # entry order included: the columns are summed in this order
+    extension = z4_extension() if ext == "z4-hs" else EXTENSIONS[ext]()
+    assert _orbit_tables(extension, max_total) \
+        == _tuple_orbit_tables(extension, max_total)
