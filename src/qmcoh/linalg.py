@@ -259,6 +259,10 @@ class Gf2Ops:
     def basis_vector(self, i):
         return 1 << i
 
+    def shift(self, v, k):
+        """v moved up k coordinates: coordinate i goes to i + k."""
+        return v << k
+
     def add(self, u, v):
         return u ^ v
 
@@ -278,14 +282,21 @@ class Gf2Ops:
         return acc
 
     def mask(self, indices):
-        m = 0
+        """The masked coordinates, held as the complement of their bits so
+        that ``outside`` is one ``&``; built one run of consecutive
+        indices at a time, in any order."""
+        m = lo = hi = 0  # the run being read is [lo, hi)
         for i in indices:
-            m |= 1 << i
-        return m
+            if i != hi:
+                m |= ((1 << (hi - lo)) - 1) << lo
+                lo = i
+            hi = i + 1
+        m |= ((1 << (hi - lo)) - 1) << lo
+        return ~m
 
     def outside(self, v, mask):
         """The part of v supported off the masked coordinates."""
-        return v & ~mask
+        return v & mask
 
     def echelon(self):
         return _Gf2Echelon()
@@ -345,6 +356,10 @@ class FieldOps:
 
     def basis_vector(self, i):
         return {i: self.field.one}
+
+    def shift(self, v, k):
+        """v moved up k coordinates: coordinate i goes to i + k."""
+        return {i + k: x for i, x in v.items()}
 
     def add(self, u, v):
         p = self.field.p

@@ -35,9 +35,11 @@ trivial one-dimensional coefficients: horizontal cochains on the
 quotient, vertical cochains built from orbit functions on tuples over
 the ambient group. The fiber acts freely, so each orbit is read off
 its first entry in closed form; tuples are base-|Gamma| codes, so the
-orbit and action tables are digit arithmetic. Every column is summed
-over the integers and reduced into the field once, when it is stored. Its
-vertical (column) filtration gives block (p, q) level p.
+orbit and action tables are digit arithmetic. A column is two stencils,
+one per quotient tuple and one per fiber orbit, each summed over the
+integers and reduced into the field once, shifted into place and added,
+plus one unit entry per non-identity quotient element. Its vertical
+(column) filtration gives block (p, q) level p.
 """
 
 from __future__ import annotations
@@ -77,6 +79,13 @@ def memory_budget_mb() -> int:
 
 def _is_count(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def _are_counts(xs) -> bool:
+    """``all(map(_is_count, xs))``, with ``_is_count`` applied to one
+    element of each distinct type and the sign read off the minimum."""
+    reps = dict(zip(map(type, xs), xs))
+    return all(map(_is_count, reps.values())) and min(xs, default=0) >= 0
 
 
 class FiniteComplex:
@@ -144,14 +153,20 @@ class Filtration:
     def _validate(self):
         cx = self.cx
         for n, lv in enumerate(self.levels):
-            if len(lv) != cx.dims[n] or not all(map(_is_count, lv)):
+            if len(lv) != cx.dims[n] or not _are_counts(lv):
                 raise ValueError(f"degree {n} needs {cx.dims[n]} levels, "
                                  f"each a non-negative integer: {lv!r}")
         # F^p is spanned by coordinates of level >= p, so d keeps every
-        # level exactly when each column stays in its own source level
+        # level exactly when each column stays in its own source level;
+        # the mask of a level is fetched once per run of its columns
         for n, cols in enumerate(cx.diffs):
+            ops = cx.ops[n + 1]
+            outside, is_zero = ops.outside, ops.is_zero
+            level = mask = None
             for col, p in zip(cols, self.levels[n]):
-                if not self.contains(p, n + 1, col):
+                if p != level:
+                    level, mask = p, self.mask_at(p, n + 1)
+                if not is_zero(outside(col, mask)):
                     raise InvariantViolation(f"d leaves F^{p} at degree {n}")
 
     def level_bound(self, n: int) -> int:
@@ -173,12 +188,10 @@ class Filtration:
         """Coordinate support of F^p K^n."""
         key = (p, n)
         if key not in self._masks:
-            self._masks[key] = self.cx.ops[n].mask(self.coordinates(p, n))
+            # the coordinates are fed one at a time, never held as a list
+            self._masks[key] = self.cx.ops[n].mask(
+                i for i, lv in enumerate(self.levels[n]) if lv >= p)
         return self._masks[key]
-
-    def contains(self, p: int, n: int, v) -> bool:
-        ops = self.cx.ops[n]
-        return ops.is_zero(ops.outside(v, self.mask_at(p, n)))
 
     @classmethod
     def trivial(cls, cx: FiniteComplex) -> "Filtration":
@@ -608,8 +621,18 @@ def hs_double_complex(ext, field=GF2, max_total: int = 5):
     least tuple. The fiber acts freely by left multiplication, so that
     tuple is the translate whose first entry is least, and the orbits of
     length t are (coset minimum, any t - 1 elements) in lexicographic
-    order (``_orbit_tables``). Columns are summed over the integers,
-    signs included, and ``from_sparse`` reduces them into the field.
+    order (``_orbit_tables``).
+
+    Column (a, o) of block (p, q), for a quotient p-tuple a and an orbit
+    o of (q + 1)-tuples, is ``shift(h_a, horizontal base + o) +
+    shift(v_o, vertical base + index(a) * n)``, n the number of orbits of
+    (q + 2)-tuples, plus a unit entry for each non-identity quotient
+    element acting on o. The horizontal
+    stencil h_a holds the split and drop terms of a and the identity's
+    action term, at orbit 0; the vertical stencil v_o holds the faces
+    lying in o with their signs (-1)^(p + i). Each stencil is summed over
+    the integers, signs included, and ``from_sparse`` reduces it into the
+    field once; the stencils live only while their block is built.
     Returns (complex, filtration, layout info).
     """
     gamma, pi, g = ext.gamma, ext.pi, ext.g
@@ -650,10 +673,12 @@ def hs_double_complex(ext, field=GF2, max_total: int = 5):
         offsets.append(offs)
         dims.append(total)
 
-    # each column is an integer sum of signed unit entries
+    # a block holds the stencils of its tuples and of one orbit at a time
+    moving = [beta for beta in pi_elts if beta != pi.identity]
     diffs = []
     for n in range(max_total):
         ops_next = vector_ops(field, dims[n + 1])
+        shift, add, unit = ops_next.shift, ops_next.add, ops_next.basis_vector
         cols = []
         for p in range(n + 1):
             q = n - p
@@ -662,30 +687,42 @@ def hs_double_complex(ext, field=GF2, max_total: int = 5):
             horiz_base = offsets[n + 1][p + 1]
             vert_base = offsets[n + 1][p]
             up_index = tup_index[p + 1]
+            per_tuple = []
             for ta, a in enumerate(tuples[p]):
-                for o in range(n_orb):
-                    col: dict = {}
-                    # horizontal: act on the value, prepend a slot
-                    for beta in pi_elts:
-                        k = (horiz_base + up_index[(beta,) + a] * n_orb
-                             + act[q][beta][o])
-                        col[k] = col.get(k, 0) + 1
-                    # horizontal: split each slot of the argument tuple
-                    for i in range(1, p + 1):
-                        for x in pi_elts:
-                            y = pi.mul(pi.inv(x), a[i - 1])
-                            merged = a[:i - 1] + (x, y) + a[i:]
-                            k = horiz_base + up_index[merged] * n_orb + o
-                            col[k] = col.get(k, 0) + (-1) ** i
-                    # horizontal: drop the trailing slot
-                    for beta in pi_elts:
-                        k = horiz_base + up_index[a + (beta,)] * n_orb + o
-                        col[k] = col.get(k, 0) + (-1) ** (p + 1)
-                    # vertical, twisted by the horizontal degree
-                    for tgt, i in vert[q][o]:
-                        k = vert_base + ta * n_orb_up + tgt
-                        col[k] = col.get(k, 0) + (-1) ** (p + i)
-                    cols.append(ops_next.from_sparse(col))
+                # horizontal at orbit 0: the identity acts trivially (its
+                # section lies in the fiber, which fixes every orbit), so
+                # its prepended slot moves with the orbit like the rest
+                h = {up_index[(pi.identity,) + a] * n_orb: 1}
+                # split each slot of the argument tuple
+                for i in range(1, p + 1):
+                    for x in pi_elts:
+                        y = pi.mul(pi.inv(x), a[i - 1])
+                        k = up_index[a[:i - 1] + (x, y) + a[i:]] * n_orb
+                        h[k] = h.get(k, 0) + (-1) ** i
+                # drop the trailing slot
+                for beta in pi_elts:
+                    k = up_index[a + (beta,)] * n_orb
+                    h[k] = h.get(k, 0) + (-1) ** (p + 1)
+                # the other elements act on the value, prepending a slot
+                acting = [(horiz_base + up_index[(beta,) + a] * n_orb,
+                           act[q][beta]) for beta in moving]
+                per_tuple.append((ops_next.from_sparse(h),
+                                  vert_base + ta * n_orb_up, acting))
+            # vertical, twisted by the horizontal degree: orbit o goes to
+            # the targets whose face i lies in o, with sign (-1)^(p + i)
+            sign = [(-1) ** (p + i) for i in range(q + 2)]
+            block = [None] * (len(per_tuple) * n_orb)
+            for o, faces in enumerate(vert[q]):
+                v: dict = {}
+                for tgt, i in faces:
+                    v[tgt] = v.get(tgt, 0) + sign[i]
+                v = ops_next.from_sparse(v)
+                for ta, (h, below, acting) in enumerate(per_tuple):
+                    col = add(shift(h, horiz_base + o), shift(v, below))
+                    for base, perm in acting:
+                        col = add(col, unit(base + perm[o]))
+                    block[ta * n_orb + o] = col
+            cols += block
         diffs.append(cols)
 
     cx = FiniteComplex(field, dims, diffs, check=True)

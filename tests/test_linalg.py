@@ -96,6 +96,10 @@ class DenseOps:
         z = self.field.zero
         return all(x == z for x in v)
 
+    def shift(self, v, k):
+        """v moved up k coordinates; the top k entries fall off."""
+        return ((self.field.zero,) * k + tuple(v))[:self.width]
+
     def combine(self, coeffs, vectors):
         acc = list(self.zero_vec)
         F = self.field
@@ -223,6 +227,35 @@ def test_sparse_ops_leave_their_arguments_alone(name):
         got[0] = ops.field.one  # results are fresh dicts
     assert (u, v, cols, one, both) == before
     assert ops.zero_vec == {}
+
+
+@pytest.mark.parametrize("name", ["F2", "F3", "Q"])
+def test_shift_matches_the_dense_reference(name):
+    field = FIELDS[name]
+    rng = random.Random(f"shift:{name}")
+    width = 9
+    ops, dense = vector_ops(field, width), DenseOps(field, width)
+    for k in range(width):
+        for _ in range(6):
+            # entries only where the shifted vector still fits
+            entries = [rng.choice([0, 0, 1, 2, Fraction(1, 2)]
+                                  if name == "Q" else [0, 0, 1, 2])
+                       for _ in range(width - k)]
+            v = ops.from_entries(entries)
+            before = copy.deepcopy(v)
+            got = ops.shift(v, k)
+            assert ops.entries(got) == \
+                dense.entries(dense.shift(dense.from_entries(entries), k))
+            assert v == before
+            if name != "F2":
+                assert got is not v
+                got[width] = field.one  # a fresh dict
+                assert v == before
+        zero = ops.shift(ops.zero_vec, k)
+        assert ops.is_zero(zero)
+        if name != "F2":
+            zero[0] = field.one  # not the shared zero_vec
+            assert ops.zero_vec == {}
 
 
 def test_prime_field_rejects_composite():
@@ -433,9 +466,11 @@ def test_matmul_and_rank_match_the_dense_product(problem):
 
 def test_outside_masks():
     ops = vector_ops(GF2, 4)
-    m = ops.mask([1, 3])
-    assert ops.outside(ops.from_entries([1, 1, 1, 1]), m) == \
-        ops.from_entries([1, 0, 1, 0])
+    for m in (ops.mask([1, 3]), ops.mask([3, 1, 3])):  # any order, repeats
+        assert ops.outside(ops.from_entries([1, 1, 1, 1]), m) == \
+            ops.from_entries([1, 0, 1, 0])
+    assert ops.outside(15, ops.mask([])) == 15
+    assert ops.outside(15, ops.mask(range(4))) == 0
     fops = vector_ops(FIELDS["F5"], 4)
     fm = fops.mask([1, 3])
     assert fops.outside(fops.from_entries([1, 2, 3, 4]), fm) == \

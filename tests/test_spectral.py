@@ -341,7 +341,8 @@ def test_boundaries_are_the_filtered_images():
                 ops = cx.ops[n]
                 for p in range(n + 1):
                     got = engine.boundaries(r, p, n - p)
-                    assert all(filt.contains(p, n, v) for v in got)
+                    outside = [ops.outside(v, filt.mask_at(p, n)) for v in got]
+                    assert all(map(ops.is_zero, outside))
                     src = filt.coordinates(max(p - r, 0), n - 1) if n else []
                     images = [cx.diffs[n - 1][i] for i in src]
                     space = filt.space(p, n)
@@ -460,6 +461,18 @@ def test_filtration_validation_rejects_unstable_levels():
                    [["1"], [1]], [[True], [1]], [[None], [1]]):
         with pytest.raises(ValueError, match="each a non-negative integer"):
             Filtration(cx, levels)
+
+    class Level(int):
+        pass
+
+    # one entry per type is tested, and the sign of the least: an
+    # offending entry between entries that pass is still found
+    wide = FiniteComplex(f2, [3, 1], [[0, 0, 0]])  # d = 0
+    for bad in ([0, True, 0], [0, -1, 2], [0, 1.0, 1], [0, "1", 1],
+                [Level(1), Level(-1), Level(2)], [0, None, 1]):
+        with pytest.raises(ValueError, match="each a non-negative integer"):
+            Filtration(wide, [bad, [0]])
+    assert Filtration(wide, [[0, Level(2), 1], [Level(0)]]).u == [2, 0]
     for name in ("F3", "Q"):
         field = FIELDS[name]
         one, two = vector_ops(field, 1), vector_ops(field, 2)
@@ -590,3 +603,109 @@ def test_orbit_tables_match_the_tuple_translation(ext, max_total):
     extension = z4_extension() if ext == "z4-hs" else EXTENSIONS[ext]()
     assert _orbit_tables(extension, max_total) \
         == _tuple_orbit_tables(extension, max_total)
+
+
+def _entrywise_columns(ext, field, max_total):
+    """The differentials of ``hs_double_complex`` as they were computed
+    before stencils: every entry of every column is summed on its own,
+    and each column is reduced into the field when it is complete."""
+    pi = ext.pi
+    pi_elts = tuple(sorted(pi.elements()))
+    act, vert = _orbit_tables(ext, max_total)
+    n_orbits = [len(act[q][pi_elts[0]]) for q in range(max_total + 1)]
+    tuples = {p: list(itertools.product(pi_elts, repeat=p))
+              for p in range(max_total + 1)}
+    tup_index = {p: {tup: i for i, tup in enumerate(tuples[p])}
+                 for p in tuples}
+    offsets, dims = [], []
+    for n in range(max_total + 1):
+        offs, total = {}, 0
+        for p in range(n + 1):
+            offs[p] = total
+            total += len(tuples[p]) * n_orbits[n - p]
+        offsets.append(offs)
+        dims.append(total)
+    diffs = []
+    for n in range(max_total):
+        ops_next = vector_ops(field, dims[n + 1])
+        cols = []
+        for p in range(n + 1):
+            q = n - p
+            n_orb, n_orb_up = n_orbits[q], n_orbits[q + 1]
+            horiz_base = offsets[n + 1][p + 1]
+            vert_base = offsets[n + 1][p]
+            up_index = tup_index[p + 1]
+            for ta, a in enumerate(tuples[p]):
+                for o in range(n_orb):
+                    col: dict = {}
+                    # horizontal: act on the value, prepend a slot
+                    for beta in pi_elts:
+                        k = (horiz_base + up_index[(beta,) + a] * n_orb
+                             + act[q][beta][o])
+                        col[k] = col.get(k, 0) + 1
+                    # horizontal: split each slot of the argument tuple
+                    for i in range(1, p + 1):
+                        for x in pi_elts:
+                            y = pi.mul(pi.inv(x), a[i - 1])
+                            merged = a[:i - 1] + (x, y) + a[i:]
+                            k = horiz_base + up_index[merged] * n_orb + o
+                            col[k] = col.get(k, 0) + (-1) ** i
+                    # horizontal: drop the trailing slot
+                    for beta in pi_elts:
+                        k = horiz_base + up_index[a + (beta,)] * n_orb + o
+                        col[k] = col.get(k, 0) + (-1) ** (p + 1)
+                    # vertical, twisted by the horizontal degree
+                    for tgt, i in vert[q][o]:
+                        k = vert_base + ta * n_orb_up + tgt
+                        col[k] = col.get(k, 0) + (-1) ** (p + i)
+                    cols.append(ops_next.from_sparse(col))
+        diffs.append(cols)
+    return dims, diffs
+
+
+@pytest.mark.parametrize("ext, name, max_total", [("z4-hs", "F2", 6)] + [
+    (ext, name, 4) for ext in EXTENSIONS for name in ("F2", "F3", "Q")])
+def test_stencil_columns_match_the_entrywise_sum(ext, name, max_total):
+    # the sha256 pins cover z4-hs only; z2-z6 has a quotient of order 3,
+    # so two non-identity elements act on each column
+    extension = z4_extension() if ext == "z4-hs" else EXTENSIONS[ext]()
+    field = FIELDS[name]
+    cx, _, _ = hs_double_complex(extension, field=field, max_total=max_total)
+    dims, diffs = _entrywise_columns(extension, field, max_total)
+    assert cx.dims == dims
+    for n, (got, want) in enumerate(zip(cx.diffs, diffs)):
+        assert len(got) == len(want), n
+        for j, (a, b) in enumerate(zip(got, want)):
+            assert a == b, (n, j)
+
+
+def _with_moved_entry(cx, filt, n, p):
+    """A copy of cx whose first column of level p in degree n has its
+    first nonzero entry moved to the first coordinate of level p - 1 of
+    degree n + 1; no other column changes."""
+    ops = cx.ops[n + 1]
+    j = filt.levels[n].index(p)
+    entries = ops.entries(cx.diffs[n][j])
+    k = next(i for i, x in enumerate(entries) if x)
+    entries[filt.levels[n + 1].index(p - 1)] = entries[k]
+    entries[k] = 0
+    diffs = [list(cols) for cols in cx.diffs]
+    diffs[n][j] = ops.from_entries(entries)
+    # d.d no longer vanishes, and only the filtration check is wanted
+    return FiniteComplex(cx.field, cx.dims, diffs, check=False)
+
+
+@pytest.mark.parametrize("name", ["F2", "F3"])
+def test_filtration_check_reads_the_mask_of_each_level(name):
+    # the first columns of each degree have level 0 and pass; the moved
+    # column has level p >= 1 and sits after them, and its entry lands in
+    # level p - 1, outside F^p but inside every level below it
+    cx, filt, _ = hs_double_complex(z4_extension(), field=FIELDS[name],
+                                    max_total=4)
+    for n in range(1, 4):
+        for p in range(1, n + 1):
+            broken = _with_moved_entry(cx, filt, n, p)
+            with pytest.raises(InvariantViolation,
+                               match=f"d leaves F\\^{p} at degree {n}"):
+                Filtration(broken, filt.levels)
+    Filtration(cx, filt.levels)
