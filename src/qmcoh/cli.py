@@ -25,13 +25,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import words
-from .errors import NoStabilization, ResourceCapExceeded
+from .errors import ResourceCapExceeded
 from .extensions import DEFAULT_CUTOFF
 from .fixtures import z4_extension
 from .groups import FreeGroup
 from .quasimorphism import (
-    DEFAULT_NMAX,
-    DEFAULT_WINDOW,
     BrooksQuasimorphism,
     defect_estimate,
     homogeneous_cocycle,
@@ -39,6 +37,7 @@ from .quasimorphism import (
 )
 from .spectral import (
     DEFAULT_MAX_R,
+    DEFAULT_WINDOW,
     Filtration,
     complex_from_json,
     complex_to_json,
@@ -46,7 +45,6 @@ from .spectral import (
     random_filtered_complex,
     sequence_report,
 )
-from .spectral import DEFAULT_WINDOW as SS_WINDOW
 from .verify import (
     DEFAULT_SAMPLES,
     registry_rows,
@@ -132,8 +130,6 @@ def _cmd_qm(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _check_at_least(args.window, 1, "--window")
-    _check_at_least(args.nmax, 1, "--nmax")
     if args.list:
         for ident, suite, law in registry_rows():
             print(f"{ident:26} {suite:9} {law}")
@@ -141,8 +137,7 @@ def _cmd_verify(args) -> int:
     with _out_file(args.out) as write_out:
         report = run_suite(
             suite=args.suite, fixture=args.fixture, seed=args.seed,
-            samples=args.samples, cutoff=args.cutoff_n, window=args.window,
-            n_max=args.nmax, timings=args.timings,
+            samples=args.samples, cutoff=args.cutoff_n, timings=args.timings,
         )
         text = report_json(report)
         sys.stdout.write(text)
@@ -246,11 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     ver.add_argument("--cutoff-n", type=int, default=DEFAULT_CUTOFF,
                      help="power-series truncation depth")
-    ver.add_argument("--window", type=int, default=DEFAULT_WINDOW,
-                     help="run of equal drift values that settles psi and"
-                          " the model shift")
-    ver.add_argument("--nmax", type=int, default=DEFAULT_NMAX,
-                     help="largest power tried for that run")
     ver.add_argument("--out", help="also write the JSON report here")
     ver.add_argument("--timings", action="store_true",
                      help="include wall times (breaks byte-for-byte diffs)")
@@ -263,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="'z4-hs', 'random', or a complex JSON file")
     ss.add_argument("--seed", type=int, default=0,
                     help="seed for source 'random'")
-    ss.add_argument("--window", type=int, default=SS_WINDOW,
+    ss.add_argument("--window", type=int, default=DEFAULT_WINDOW,
                     help="largest total degree shown")
     ss.add_argument("--max-r", type=int, default=DEFAULT_MAX_R)
     ss.add_argument("--out", help="write the complex as JSON")
@@ -281,7 +271,7 @@ def main(argv=None) -> int:
     except ResourceCapExceeded as ex:
         print(f"qmcoh: resource cap hit: {ex}", file=sys.stderr)
         return 2
-    except (NoStabilization, ValueError) as ex:
+    except ValueError as ex:
         print(f"qmcoh: {ex}", file=sys.stderr)
         return 2
 

@@ -14,14 +14,6 @@ class BudgetExceeded(ResourceCapExceeded):
     """Estimated memory for a matrix build exceeds the configured budget."""
 
 
-class NoStabilization(RuntimeError):
-    """A limit value failed to stabilize within the allowed range."""
-
-    def __init__(self, n_max: int, what: str = "increment sequence"):
-        self.n_max = n_max
-        super().__init__(f"{what} did not stabilize within n_max={n_max}")
-
-
 class NotACocycle(ValueError):
     """A sampled cocycle precheck failed; carries a witness triple."""
 

@@ -37,7 +37,7 @@ from .groups import (
     compose,
     inner_automorphism,
 )
-from .quasimorphism import homogenize
+from .quasimorphism import drift
 
 DEFAULT_CUTOFF = 8
 
@@ -281,17 +281,12 @@ class CentralExtensionModel(Group):
 
     def shift(self, g) -> Fraction:
         """Homogenization drift of the scalar coordinate over powers of
-        g: homogenize(phi, g) - phi(g), exactly, since t - phi(g) is a
-        homomorphism of the pairs. Raises TypeError for a cocycle that
-        carries no phi."""
+        g: ``drift(cocycle, g)`` = homogenize(phi, g) - phi(g), exactly,
+        since t - phi(g) is a homomorphism of the pairs. Raises
+        TypeError for a cocycle that carries no phi."""
         hit = self._shift.get(g)
         if hit is None:
-            phi = getattr(self.cocycle, "phi", None)
-            if phi is None:
-                raise TypeError(
-                    f"model shift needs a cocycle with a phi, got"
-                    f" {self.cocycle!r}")
-            hit = Fraction(homogenize(phi, g)) - Fraction(phi(g))
+            hit = Fraction(drift(self.cocycle, g))
             self._shift[g] = hit
         return hit
 

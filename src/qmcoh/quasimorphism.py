@@ -6,9 +6,8 @@ is in closed form: a Brooks count on powers of g is affine in the
 exponent from k0(g) on (see ``BrooksQuasimorphism.eval_power``), and
 its slope, the per-period count on the periodic word core(g)^Z, is the
 exact limit of phi(g^n)/n. Nothing here is floating point and nothing
-is truncated. The one place that still reads a limit off a run of equal
-values is ``stable_drift``, for cocycles known only by their values; its
-docstring states when that rule is exact.
+is truncated. The primitive psi that makes a defect cocycle d(phi)
+homogeneous is the same closed form: ``drift`` is homogenize(phi) - phi.
 
 Counting is done on the one-character-per-letter string encoding (see
 ``words.chars``), so an occurrence count is a substring scan. Brooks
@@ -24,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import words
-from .errors import NoStabilization, NotACocycle
+from .errors import NotACocycle
 from .words import Pow, Word
 
 
@@ -213,10 +212,6 @@ def defect_estimate(phi, group, samples: int = 200, seed: int = 0,
     return best
 
 
-DEFAULT_WINDOW = 4
-DEFAULT_NMAX = 64
-
-
 def homogenize(phi: Quasimorphism, g: Word):
     """Exact value of the homogenization lim phi(g^n)/n of phi at g.
 
@@ -234,44 +229,6 @@ def homogenize(phi: Quasimorphism, g: Word):
     if isinstance(phi, SumQuasimorphism):
         return sum(homogenize(part, g) for part in phi.parts)
     raise TypeError(f"no closed-form homogenization for {phi!r}")
-
-
-def stable_drift(c, group, g, window: int = DEFAULT_WINDOW,
-                 n_max: int = DEFAULT_NMAX):
-    """The eventual value of c(g^n, g) as n grows, read off as the first
-    value that ``window`` consecutive n in 1 .. n_max agree on.
-
-    For a cocycle c this is also the eventual value of c(g, g^n): on the
-    cyclic group generated by g, c is a coboundary d(f), which is
-    symmetric there. The rule is exact when c(g^n, g) is constant for
-    all n >= n0 with n0 <= window and n0 + window - 1 <= n_max: no run
-    of ``window`` equal values fits before n0, and one completes by
-    n0 + window - 1. For homogeneous c, n0 = 1. For c = d(phi_w) with a
-    Brooks count phi_w, n0 <= k0(g) = max(1, ceil((|w| - 1) / |core g|)),
-    since phi_w is affine on powers of g from k0(g) on. When k0(g) >
-    window a wrong value can be returned.
-
-    Returns 0 at the identity. Raises ValueError if window or n_max is
-    below 1, and NoStabilization if no run completes by n_max.
-    """
-    if window < 1 or n_max < 1:
-        raise ValueError(
-            f"window and n_max must be >= 1, got {window} and {n_max}"
-        )
-    if g == group.identity:
-        return 0
-    run_val, run_len = None, 0
-    gn = g
-    for _ in range(n_max):
-        val = c(gn, g)
-        if val == run_val:
-            run_len += 1
-        else:
-            run_val, run_len = val, 1
-        if run_len >= window:
-            return run_val
-        gn = group.mul(gn, g)
-    raise NoStabilization(n_max, what=f"drift values of {c!r}")
 
 
 class Homogenization(Quasimorphism):
@@ -419,29 +376,31 @@ def cocycle_defect(c, g, h, k, group) -> Fraction:
     )
 
 
+def drift(c, g):
+    """homogenize(phi, g) - phi(g), exactly, for the quasimorphism phi
+    that the defect cocycle c = d(phi) carries as ``c.phi``; 0 when phi
+    is homogeneous. Adding the coboundary of this primitive to c gives
+    d(homogenization of phi). Raises TypeError for a cocycle that
+    carries no phi."""
+    if not isinstance(c, DefectCocycle):
+        raise TypeError(f"drift needs a cocycle that carries a phi, got {c!r}")
+    return homogenize(c.phi, g) - c.phi(g)
+
+
 class CorrectedCocycle(Cochain2):
-    """c plus the coboundary of the stabilized primitive psi; this is the
-    homogeneous representative of c's class when c is a bounded cocycle
-    whose power values stabilize."""
+    """c(g, h) + psi(gh) - psi(g) - psi(h) with psi = ``drift(c, .)``:
+    for c = d(phi) this is d(homogenization of phi), the homogeneous
+    representative of c's class, computed term by term from c."""
 
     homogeneous = True
 
-    def __init__(self, c, group, window: int = DEFAULT_WINDOW,
-                 n_max: int = DEFAULT_NMAX):
+    def __init__(self, c, group):
         self.base = c
         self.group = group
-        self.window = window
-        self.n_max = n_max
-        self._psi_cache: dict = {}
         self.name = f"homog-rep({c!r})"
 
     def psi(self, g):
-        hit = self._psi_cache.get(g)
-        if hit is None:
-            hit = stable_drift(self.base, self.group, g, self.window,
-                               self.n_max)
-            self._psi_cache[g] = hit
-        return hit
+        return drift(self.base, g)
 
     def evaluate(self, entry):
         x, y = entry
@@ -453,16 +412,15 @@ class CorrectedCocycle(Cochain2):
         )
 
 
-def homogeneous_representative(c, group, sample_triples=(),
-                               window: int = DEFAULT_WINDOW,
-                               n_max: int = DEFAULT_NMAX) -> CorrectedCocycle:
-    """Homogeneous cocycle cohomologous to c.
+def homogeneous_representative(c, group,
+                               sample_triples=()) -> CorrectedCocycle:
+    """Homogeneous cocycle cohomologous to the defect cocycle c.
 
     Prechecks on the supplied samples: c must vanish against the
     identity (normalization precondition) and satisfy the cocycle law
     (NotACocycle with a witness otherwise). The primitive psi(g) is
-    ``stable_drift(c, group, g, window, n_max)``, exact under the
-    condition stated there; NoStabilization propagates.
+    ``drift(c, g)``, exact; a c that carries no phi raises TypeError
+    when psi is first read.
     """
     e = group.identity
     for (g, h, k) in sample_triples:
@@ -471,4 +429,4 @@ def homogeneous_representative(c, group, sample_triples=(),
         d = cocycle_defect(c, g, h, k, group)
         if d != 0:
             raise NotACocycle((g, h, k), d)
-    return CorrectedCocycle(c, group, window, n_max)
+    return CorrectedCocycle(c, group)

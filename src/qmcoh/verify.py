@@ -64,8 +64,6 @@ from .fixtures import (
 )
 from .groups import FreeGroup
 from .quasimorphism import (
-    DEFAULT_NMAX,
-    DEFAULT_WINDOW,
     BrooksQuasimorphism,
     DefectCocycle,
     Homogenization,
@@ -97,8 +95,7 @@ class VerifyContext:
     """Shared fixture state for a verification run, built lazily."""
 
     def __init__(self, fixture: str = "f2-semidirect-z", seed: int = 0,
-                 samples: int = DEFAULT_SAMPLES, cutoff: int = DEFAULT_CUTOFF,
-                 window: int = DEFAULT_WINDOW, n_max: int = DEFAULT_NMAX):
+                 samples: int = DEFAULT_SAMPLES, cutoff: int = DEFAULT_CUTOFF):
         if fixture not in FIXTURES:
             raise ValueError(
                 f"unknown fixture {fixture!r}; pick from {sorted(FIXTURES)}"
@@ -111,8 +108,6 @@ class VerifyContext:
         self.seed = seed
         self.samples = samples
         self.cutoff = cutoff
-        self.window = window
-        self.n_max = n_max
         self._ext = None
         self._cocycle = None
         self._model = None
@@ -268,10 +263,8 @@ def _homogeneous_representative(ctx, rng):
         tuple(F2.random_element(rng, 3) for _ in range(3))
         for _ in range(3)
     ]
-    rep = homogeneous_representative(
-        DefectCocycle(phi), F2, sample_triples=triples,
-        window=ctx.window, n_max=ctx.n_max,
-    )
+    rep = homogeneous_representative(DefectCocycle(phi), F2,
+                                     sample_triples=triples)
     direct = homogeneous_cocycle(phi)
     for _ in range(ctx.samples):
         g = F2.random_element(rng, 5)
@@ -887,17 +880,14 @@ def registry_rows():
 
 def run_suite(suite: str = "all", fixture: str = "f2-semidirect-z",
               seed: int = 0, samples: int = DEFAULT_SAMPLES,
-              cutoff: int = DEFAULT_CUTOFF, window: int = DEFAULT_WINDOW,
-              n_max: int = DEFAULT_NMAX, timings: bool = False) -> dict:
+              cutoff: int = DEFAULT_CUTOFF, timings: bool = False) -> dict:
     """Run one suite (or all of them) and return the report dict."""
     if suite not in suite_names():
         raise ValueError(
             f"unknown suite {suite!r}; pick from {list(suite_names())}"
         )
-    ctx = VerifyContext(
-        fixture=fixture, seed=seed, samples=samples, cutoff=cutoff,
-        window=window, n_max=n_max,
-    )
+    ctx = VerifyContext(fixture=fixture, seed=seed, samples=samples,
+                        cutoff=cutoff)
     chosen = sorted(
         (s for s in REGISTRY if suite in ("all", s.suite)),
         key=lambda s: s.id,
@@ -924,8 +914,12 @@ def run_suite(suite: str = "all", fixture: str = "f2-semidirect-z",
         "seed": seed,
         "samples": samples,
         "cutoff": cutoff,
-        "window": window,
-        "n_max": n_max,
+        # fixed values that configure nothing (psi is exact, see
+        # ``quasimorphism.drift``); the benchmark's check and the seed-0
+        # refs pin them, and they leave when ROADMAP item 2 regenerates
+        # the refs
+        "window": 4,
+        "n_max": 64,
         "identities": identities,
         "failures_total": total,
         "passed": total == 0,

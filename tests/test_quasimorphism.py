@@ -19,7 +19,6 @@ from qmcoh.quasimorphism import (
     homogeneous_cocycle,
     homogeneous_representative,
     homogenize,
-    stable_drift,
 )
 from qmcoh.words import Pow, parse
 
@@ -138,14 +137,6 @@ def test_long_reduced_power_never_runs_the_reduce_loop(monkeypatch):
 
     monkeypatch.setattr(words, "reduce", refuse)
     assert homogenize(phi, x) == 2**16
-
-
-def test_stable_drift_rejects_empty_windows():
-    c = homogeneous_cocycle(BrooksQuasimorphism(p("ab")))
-    with pytest.raises(ValueError, match="window"):
-        stable_drift(c, F2, p("ab"), window=0)
-    with pytest.raises(ValueError, match="n_max"):
-        stable_drift(c, F2, p("ab"), n_max=0)
 
 
 def test_homogenize_oracles():
@@ -272,6 +263,45 @@ def test_homogeneous_representative_matches_direct():
         g = F2.random_element(rng, 6)
         h = F2.random_element(rng, 6)
         assert rep(g, h) == cx(g, h)
+
+
+def test_psi_is_exact_where_power_values_settle_late():
+    # phi_w(b'^n) = max(0, n - 10), so c(b'^n, b') reads 0 for
+    # n = 1..9 before it settles on the drift 1 from n = 10 on
+    phi = BrooksQuasimorphism(p("b'" * 11))
+    rep = homogeneous_representative(DefectCocycle(phi), F2)
+    assert rep.psi(p("b'")) == 1
+    assert rep.psi(p("ab'a'")) == 1
+    assert rep.psi(p("b")) == -1
+    assert rep.psi(()) == 0
+
+
+@given(long_brooks_words, short_cores | conjugated_words,
+       short_cores | conjugated_words)
+@settings(max_examples=150)
+def test_homogeneous_representative_is_exact_on_long_words(w, g, h):
+    phi = BrooksQuasimorphism(w)
+    rep = homogeneous_representative(DefectCocycle(phi), F2)
+    assert rep(g, h) == homogeneous_cocycle(phi)(g, h)
+
+
+def test_psi_vanishes_for_a_homogeneous_cocycle():
+    c = homogeneous_cocycle(BrooksQuasimorphism(p("abb")))
+    rep = homogeneous_representative(c, F2)
+    rng = random.Random(17)
+    for _ in range(15):
+        g = F2.random_element(rng, 7)
+        h = F2.random_element(rng, 7)
+        assert rep.psi(g) == 0
+        assert rep(g, h) == c(g, h)
+
+
+def test_psi_needs_a_cocycle_with_a_phi():
+    c = homogeneous_cocycle(BrooksQuasimorphism(p("ab")))
+    pulled = PulledBackCocycle(inner_automorphism(F2, p("b")), c)
+    rep = homogeneous_representative(pulled, F2)
+    with pytest.raises(TypeError, match="phi"):
+        rep.psi(p("ab"))
 
 
 def test_homogeneous_representative_rejects_non_cocycle():
