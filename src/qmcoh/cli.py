@@ -7,8 +7,8 @@ Three subcommands:
 * ``qmcoh verify`` runs the identity registry and prints the JSON
   report; exit status 0 means every checked identity held.
 * ``qmcoh ss`` prints page tables for a filtered complex: the built-in
-  finite fixture, a seeded random complex, or a JSON file produced by
-  an earlier ``--out``.
+  finite fixture, a seeded random complex, or a complex document (sparse
+  columns and levels) written by an earlier ``--out``.
 
 Words are written over ``a``, ``b``, ... with inverses as either an
 apostrophe (``a'``) or a capital letter (``A``); whitespace is ignored
@@ -38,7 +38,6 @@ from .quasimorphism import (
 from .spectral import (
     DEFAULT_MAX_R,
     DEFAULT_WINDOW,
-    Filtration,
     complex_from_json,
     complex_to_json,
     hs_double_complex,
@@ -156,20 +155,19 @@ def _load_complex(args):
     if args.source == "random":
         cx, filt, _hom = random_filtered_complex(args.seed)
         return cx, filt
-    path = Path(args.source)
-    if not path.exists():
-        raise CliError(f"no such fixture or file: {args.source}")
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as ex:
+        doc = json.loads(Path(args.source).read_text())
+    except OSError as ex:
+        if isinstance(ex, FileNotFoundError):
+            raise CliError(f"no such fixture or file: {args.source}") from ex
+        raise CliError(
+            f"cannot read {args.source!r}: {ex.strerror or ex}") from ex
+    except (json.JSONDecodeError, UnicodeDecodeError) as ex:
         raise CliError(f"{args.source} is not valid JSON: {ex}") from ex
     try:
-        cx, filt = complex_from_json(doc)
+        return complex_from_json(doc)
     except (ValueError, KeyError, TypeError, IndexError) as ex:
         raise CliError(f"{args.source} is not a complex document: {ex}") from ex
-    if filt is None:
-        filt = Filtration.trivial(cx)
-    return cx, filt
 
 
 def _print_ss(report: dict):

@@ -15,10 +15,11 @@ space of width k, with the same representation as the vectors (an int
 over GF(2), a canonical dict otherwise): the echelon returns its combos
 in it, ``relations`` and ``solve_coords`` answer in it, and
 ``combine(coeffs, vectors)`` maps it onto the vectors' span. A matrix is
-its list of columns, each a vector of the target space. Dense lists
-appear only at the edges (``from_entries``, ``entries``). Subspace bases
-are plain lists of vectors and never assumed reduced unless a function
-says so.
+its list of columns, each a vector of the target space. At the edges,
+``from_sparse`` and ``entries`` convert from and to the nonzeros
+{coordinate: element}, and ``from_entries`` reads a dense list. Subspace
+bases are plain lists of vectors and never assumed reduced unless a
+function says so.
 """
 
 from __future__ import annotations
@@ -247,7 +248,14 @@ class Gf2Ops:
         return v
 
     def entries(self, v):
-        return [(v >> i) & 1 for i in range(self.width)]
+        """The nonzeros {coordinate: 1}, ascending; ``from_sparse``
+        inverts it."""
+        out = {}
+        while v:
+            low = v & -v
+            out[low.bit_length() - 1] = 1
+            v ^= low
+        return out
 
     def from_sparse(self, coords: dict):
         v = 0
@@ -329,7 +337,8 @@ class FieldOps:
     ``{}``. No operation mutates its arguments or the shared
     ``zero_vec``, and every result is a fresh dict. The arithmetic is
     inline: ``% p`` over GF(p), plain ``Fraction`` arithmetic over Q.
-    ``from_entries``/``entries`` convert from and to dense lists.
+    ``from_entries`` reads a dense list; ``entries`` is the inverse of
+    ``from_sparse``.
     """
 
     def __init__(self, field, width: int):
@@ -346,10 +355,8 @@ class FieldOps:
         return self._canonical(enumerate(entries))
 
     def entries(self, v):
-        out = [self.field.zero] * self.width
-        for i, x in v.items():
-            out[i] = x
-        return out
+        """The nonzeros {coordinate: element}, a fresh dict."""
+        return dict(v)
 
     def from_sparse(self, coords: dict):
         return self._canonical(coords.items())

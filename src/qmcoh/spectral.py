@@ -6,8 +6,8 @@ differentials given column-wise. A ``Filtration`` is a decreasing,
 differential-stable chain of subspaces in every degree, with ``F^0``
 the whole space and ``F^p = 0`` beyond the regularity bound ``u(n)``,
 given as one level per coordinate, so that every subspace below is a
-mask projection. A filtration given by spanning vectors (random
-complexes, JSON input) is rewritten in an adapted basis, once, by
+mask projection. A filtration given by spanning vectors (the random
+complexes) is rewritten in an adapted basis, once, by
 ``adapt_filtration``.
 
 Pages come from the persistence pairing (``PersistencePairing``): one
@@ -142,7 +142,8 @@ class Filtration:
 
     def __init__(self, cx: FiniteComplex, levels, check: bool = True):
         if len(levels) != len(cx.dims):
-            raise ValueError("one level list per degree required")
+            raise ValueError(f"one level list per degree required, not"
+                             f" {len(levels)} for {len(cx.dims)} degrees")
         self.cx = cx
         self.levels = [list(lv) for lv in levels]
         self._masks: dict = {}
@@ -193,11 +194,6 @@ class Filtration:
                 i for i, lv in enumerate(self.levels[n]) if lv >= p)
         return self._masks[key]
 
-    @classmethod
-    def trivial(cls, cx: FiniteComplex) -> "Filtration":
-        """F^0 = everything, F^1 = 0 in every degree."""
-        return cls(cx, [[0] * d for d in cx.dims], check=False)
-
 
 def adapt_filtration(cx: FiniteComplex, bases):
     """(complex, ``Filtration``) isomorphic as a filtered complex to cx
@@ -207,7 +203,7 @@ def adapt_filtration(cx: FiniteComplex, bases):
     p and, ordered by ascending level, form the adapted basis in which
     the complex is rewritten. Raises ``InvariantViolation`` when F^0
     does not span, a level is not inside the one below it (told by its
-    own rank), or d leaves a level."""
+    own rank), or d leaves a level. Only random complexes need it."""
     if len(bases) != len(cx.dims):
         raise ValueError("one level chain per degree required")
     adapted, levels = [], []
@@ -859,78 +855,76 @@ def _encode_entry(field, x):
     return str(x) if field.p is None else int(x)
 
 
-def _decode_entry(field, x):
-    """An exact entry: a JSON integer, or over Q also a fraction string."""
+def _decode_entry(field, x, where: str):
+    """A nonzero exact entry: an integer, or over Q a fraction string."""
     exact = int if field.p else (int, str)
     if isinstance(x, bool) or not isinstance(x, exact):
-        raise ValueError(f"entry {x!r} is not exact over {field_name(field)}")
+        raise ValueError(
+            f"{where}: entry {x!r} is not exact over {field_name(field)}")
     try:
-        return field.of(Fraction(x))
+        y = field.of(Fraction(x))
     except ZeroDivisionError:
-        raise ValueError(f"entry {x!r} divides by zero") from None
+        raise ValueError(f"{where}: entry {x!r} divides by zero") from None
+    if not y:
+        raise ValueError(
+            f"{where}: entry {x!r} is zero in {field_name(field)}")
+    return y
 
 
-def complex_to_json(cx: FiniteComplex, filt: Filtration | None = None) -> dict:
-    """Dense JSON form; ``filtration[n][p]`` lists the unit vectors of
-    F^p, so ``complex_from_json`` reads the same columns and levels."""
-    doc = {
-        "field": field_name(cx.field),
-        "dims": list(cx.dims),
-        "differentials": [
-            [[_encode_entry(cx.field, e) for e in cx.ops[n + 1].entries(col)]
-             for col in cols]
-            for n, cols in enumerate(cx.diffs)],
-    }
-    if filt is not None:
-        doc["filtration"] = [
-            [[[_encode_entry(cx.field, e) for e in cx.ops[n].entries(v)]
-              for v in filt.space(p, n)]
-             for p in range(filt.level_bound(n) + 1)]
-            for n in range(len(cx.dims))]
-    return doc
+def complex_to_json(cx: FiniteComplex, filt: Filtration) -> dict:
+    """The complex as it is held: ``columns[n][j]`` lists the nonzeros of
+    column j of d_n as ``[row, value]`` pairs, rows ascending, and
+    ``levels`` is ``filt.levels``; ``complex_from_json`` reads it back."""
+    return {"field": field_name(cx.field), "dims": list(cx.dims),
+            "columns": [[[[i, _encode_entry(cx.field, x)] for i, x in
+                          sorted(cx.ops[n + 1].entries(col).items())]
+                         for col in cols] for n, cols in enumerate(cx.diffs)],
+            "levels": [list(lv) for lv in filt.levels]}
 
 
 def complex_from_json(doc: dict):
-    """(complex, filtration or None); with a ``"filtration"`` (a chain of
-    bases per degree) the complex comes back in its adapted basis."""
+    """(complex, filtration) from the document ``complex_to_json`` writes:
+    rows strictly ascend below the target's width, values are exact and
+    nonzero, and the levels go through ``Filtration``'s own checks."""
     if not isinstance(doc, dict):
         raise ValueError("the document must be a JSON object")
-    missing = [k for k in ("field", "dims", "differentials") if k not in doc]
+    missing = [k for k in ("field", "dims", "columns", "levels")
+               if k not in doc]
     if missing:
         raise ValueError(f"missing key(s) {', '.join(missing)}")
     field = FIELDS.get(doc["field"])
     if field is None:
-        raise ValueError(
-            f"unknown field {doc['field']!r}; expected one of"
-            f" {', '.join(FIELDS)}"
-        )
-    dims = doc["dims"]
-    if not isinstance(dims, list):
-        raise ValueError(f"dims {dims!r} is not a list")
+        raise ValueError(f"unknown field {doc['field']!r}; expected one of"
+                         f" {', '.join(FIELDS)}")
+    for key in ("dims", "columns", "levels"):
+        if not isinstance(doc[key], list):
+            raise ValueError(f"{key} {doc[key]!r} is not a list")
+    dims, columns, levels = doc["dims"], doc["columns"], doc["levels"]
     for d in dims:
         if not _is_count(d):
             raise ValueError(f"dims entry {d!r} is not a non-negative integer")
-    all_ops = [vector_ops(field, d) for d in dims]
-
-    def vector(n, entries):
-        """A degree-n vector from a list of exactly ``dims[n]`` entries."""
-        if not isinstance(entries, list):
-            raise ValueError(f"vector {entries!r} is not a list")
-        if len(entries) != dims[n]:
-            raise ValueError(
-                f"{len(entries)} entries for a vector of width {dims[n]}")
-        return all_ops[n].from_entries(
-            [_decode_entry(field, e) for e in entries])
-
-    diffs = [[vector(n + 1, col) for col in cols]
-             for n, cols in enumerate(doc["differentials"])]
+    if len(columns) != len(dims) - 1:
+        raise ValueError(f"columns lists {len(columns)} differentials for"
+                         f" {len(dims)} dims, not one fewer than dims")
+    for key, outer in (("columns", columns), ("levels", levels)):
+        for n, inner in enumerate(outer):
+            if not isinstance(inner, list):
+                raise ValueError(f"{key}[{n}] {inner!r} is not a list")
+    diffs = []
+    for n, cols in enumerate(columns):
+        ops, width = vector_ops(field, dims[n + 1]), dims[n + 1]
+        diffs.append([])
+        for j, pairs in enumerate(cols):
+            where, coords, last = f"columns[{n}][{j}]", {}, -1
+            if not isinstance(pairs, list):
+                raise ValueError(f"{where} {pairs!r} is not a list")
+            for pair in pairs:
+                if not (isinstance(pair, list) and len(pair) == 2
+                        and _is_count(pair[0]) and last < pair[0] < width):
+                    raise ValueError(f"{where}: {pair!r} is not a [row, value]"
+                                     f" pair with {last} < row < {width}")
+                last = pair[0]
+                coords[last] = _decode_entry(field, pair[1], where)
+            diffs[n].append(ops.from_sparse(coords))
     cx = FiniteComplex(field, dims, diffs, check=True)
-    filt = None
-    if "filtration" in doc:
-        if len(doc["filtration"]) != len(dims):
-            raise ValueError(f"filtration has {len(doc['filtration'])} "
-                             f"chains for {len(dims)} degrees")
-        bases = [[[vector(n, vec) for vec in basis] for basis in chain]
-                 for n, chain in enumerate(doc["filtration"])]
-        cx, filt = adapt_filtration(cx, bases)
-    return cx, filt
+    return cx, Filtration(cx, levels, check=True)

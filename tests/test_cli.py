@@ -4,7 +4,9 @@ import pytest
 
 import qmcoh.cli
 from qmcoh.cli import main
-from qmcoh.spectral import complex_to_json, random_filtered_complex
+from qmcoh.fixtures import z4_extension
+from qmcoh.spectral import (complex_to_json, hs_double_complex,
+                            random_filtered_complex)
 from qmcoh.words import parse
 
 
@@ -198,8 +200,8 @@ def test_ss_finite_fixture_converges(capsys):
 # F2, d: degree 0 -> 1 an isomorphism, with the one vector of degree 1
 # at level 2: a filtration level above its degree
 LEVEL_ABOVE_DEGREE = {
-    "field": "F2", "dims": [1, 1, 1], "differentials": [[[1]], [[0]]],
-    "filtration": [[[[1]]], [[[1]], [[1]], [[1]]], [[[1]]]]}
+    "field": "F2", "dims": [1, 1, 1], "columns": [[[[0, 1]]], [[]]],
+    "levels": [[0], [2], [0]]}
 
 
 def test_ss_takes_a_level_above_its_degree(tmp_path, capsys):
@@ -249,9 +251,44 @@ def test_ss_out_writes_the_indented_dump(tmp_path, capsys):
     assert rc == 0 and target.read_text() == want + "\n"
 
 
+def test_ss_z4_hs_round_trips_through_its_sparse_document(tmp_path, capsys):
+    saved = tmp_path / "z4-hs.json"
+    rc, out1, _ = run(capsys, "ss", "z4-hs", "--out", str(saved))
+    rc2, out2, _ = run(capsys, "ss", str(saved))
+    assert rc == rc2 == 0 and out1 == out2
+    # one [row, 1] pair per stored nonzero, and nothing else: a dense
+    # writer would list every zero too
+    doc = json.loads(saved.read_text())
+    pairs = [pair for cols in doc["columns"] for col in cols for pair in col]
+    cx, filt, _info = hs_double_complex(z4_extension())
+    stored = sum(bin(col).count("1") for cols in cx.diffs for col in cols)
+    assert len(pairs) == stored == 20196
+    assert {value for _row, value in pairs} == {1}
+    assert doc["levels"] == filt.levels
+
+
 def test_ss_missing_file(capsys):
     rc, _, err = run(capsys, "ss", "no-such-file.json")
     assert rc == 2 and "no such fixture or file" in err
+
+
+@pytest.mark.parametrize("name", ["directory", ""])
+def test_ss_source_that_cannot_be_read_is_a_usage_error(tmp_path, capsys,
+                                                        monkeypatch, name):
+    # '' names the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "directory").mkdir()
+    rc, out, err = run(capsys, "ss", name)
+    assert rc == 2 and out == ""
+    assert f"qmcoh: cannot read {name!r}: " in err
+
+
+def test_ss_source_that_is_not_text_names_the_source(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    rc, out, err = run(capsys, "ss", str(path))
+    assert rc == 2 and out == ""
+    assert f"qmcoh: {path} is not valid JSON: 'utf-8' codec" in err
 
 
 def test_ss_respects_the_memory_budget(monkeypatch, capsys):
@@ -273,29 +310,66 @@ def test_ss_rejects_negative_max_r(capsys):
     assert rc == 2 and out == "" and "--max-r must be >= 0" in err
 
 
+def _doc(field, dims, columns, levels):
+    return {"field": field, "dims": dims, "columns": columns,
+            "levels": levels}
+
+
+# F2, dims [1, 2], d = the one column (e0 + e1)
+D0 = [[[[0, 1], [1, 1]]]]
+
+
+def _one_column(pairs, field="F2"):
+    """A [1, 2] complex whose one column is ``pairs``."""
+    return _doc(field, [1, 2], [[pairs]], [[0], [0, 0]])
+
+
 @pytest.mark.parametrize("doc, why", [
     ({}, "missing key"),
-    ({"field": "F4", "dims": [1], "differentials": []}, "unknown field 'F4'"),
+    (_doc("F4", [1], [], [[0]]), "unknown field 'F4'"),
     ([1, 2], "JSON object"),
-    ({"field": ["F2"], "dims": [1], "differentials": []}, "unhashable"),
-    ({"field": "F3", "dims": ["a"], "differentials": []},
+    (_doc(["F2"], [1], [], [[0]]), "unhashable"),
+    (_doc("F3", ["a"], [], []),
      "dims entry 'a' is not a non-negative integer"),
-    ({"field": "F3", "dims": [1.5], "differentials": []},
+    (_doc("F3", [1.5], [], []),
      "dims entry 1.5 is not a non-negative integer"),
-    ({"field": "F2", "dims": [True, True], "differentials": [[[1]]]},
+    (_doc("F2", [True, True], [[[[0, 1]]]], [[0], [0]]),
      "dims entry True is not a non-negative integer"),
-    ({"field": "Q", "dims": [-1], "differentials": []},
-     "dims entry -1 is not a non-negative integer"),
-    ({"field": "Q", "dims": 2, "differentials": []}, "dims 2 is not a list"),
-    ({"field": "F3", "dims": [1, 1], "differentials": [[[1]]],
-      "filtration": [[[[1]]]]}, "filtration has 1 chains for 2 degrees"),
-    ({"field": "F3", "dims": [1, 2], "differentials": [[[1]]]},
-     "1 entries for a vector of width 2"),
-    ({"field": "F2", "dims": [1, 2], "differentials": [[[1, 1]]],
-      "filtration": [[[[1]]], [[[1], [0, 1]]]]},
-     "1 entries for a vector of width 2"),
-    ({"field": "Q", "dims": [1, 1], "differentials": [["1"]]},
-     "vector '1' is not a list"),
+    (_doc("Q", [-1], [], []), "dims entry -1 is not a non-negative integer"),
+    (_doc("Q", 2, [], []), "dims 2 is not a list"),
+    (_doc("F3", [1, 1], [[[[0, 1]]]], [[0]]),
+     "one level list per degree required, not 1 for 2 degrees"),
+    (_one_column([[2, 1]], "F3"),
+     "columns[0][0]: [2, 1] is not a [row, value] pair with -1 < row < 2"),
+    (_doc("F2", [1, 2], D0, [[0], [0]]),
+     "degree 1 needs 2 levels, each a non-negative integer: [0]"),
+    (_doc("Q", [1, 1], [["1"]], [[0], [0]]),
+     "columns[0][0] '1' is not a list"),
+    ({"field": "F2", "dims": [1, 1], "differentials": [[[1]]],
+      "filtration": [[[[1]]], [[[1]]]]}, "missing key(s) columns, levels"),
+    (_one_column([[0, 1], [0, 1]]),
+     "columns[0][0]: [0, 1] is not a [row, value] pair with 0 < row < 2"),
+    (_one_column([[1, 1], [0, 1]]),
+     "columns[0][0]: [0, 1] is not a [row, value] pair with 1 < row < 2"),
+    (_one_column([[True, 1]]),
+     "columns[0][0]: [True, 1] is not a [row, value] pair with -1 < row"),
+    (_one_column([[-1, 1]]),
+     "columns[0][0]: [-1, 1] is not a [row, value] pair with -1 < row"),
+    (_one_column([[0, 1, 1]]),
+     "columns[0][0]: [0, 1, 1] is not a [row, value] pair"),
+    (_one_column([0]), "columns[0][0]: 0 is not a [row, value] pair"),
+    (_doc("F2", [1, 1, 1], [[[[0, 1]]]], [[0], [0], [0]]),
+     "columns lists 1 differentials for 3 dims, not one fewer than dims"),
+    (_doc("F2", [1, 2], [5], [[0], [0, 0]]), "columns[0] 5 is not a list"),
+    (_doc("F2", [1, 2], [[[], []]], [[0], [0, 0]]),
+     "degree 0: 2 columns for dimension 1"),
+    (_doc("F2", [1, 2], D0, [[-1], [0, 0]]),
+     "degree 0 needs 1 levels, each a non-negative integer: [-1]"),
+    (_doc("F2", [1, 2], D0, [[0], [0, True]]),
+     "degree 1 needs 2 levels, each a non-negative integer: [0, True]"),
+    (_doc("F2", [1, 2], D0, 0), "levels 0 is not a list"),
+    (_doc("F2", [1, 2], D0, [[0], 0]), "levels[1] 0 is not a list"),
+    (_doc("F2", [1, 2], D0, [[1], [0, 1]]), "d leaves F^1 at degree 0"),
 ])
 def test_ss_malformed_json_is_a_usage_error(tmp_path, capsys, doc, why):
     path = tmp_path / "bad.json"
@@ -307,7 +381,7 @@ def test_ss_malformed_json_is_a_usage_error(tmp_path, capsys, doc, why):
 
 def _one_entry(field, entry):
     """A two-term complex whose one differential entry is ``entry``."""
-    return {"field": field, "dims": [1, 1], "differentials": [[[entry]]]}
+    return _doc(field, [1, 1], [[[[0, entry]]]], [[0], [0]])
 
 
 @pytest.mark.parametrize("doc, why", [
@@ -319,10 +393,14 @@ def _one_entry(field, entry):
     (_one_entry("Q", 0.5), "entry 0.5 is not exact over Q"),
     (_one_entry("Q", False), "entry False is not exact over Q"),
     (_one_entry("Q", "1/0"), "entry '1/0' divides by zero"),
-    ({**_one_entry("F3", 1), "filtration": [[[[1]]], [[[0.5]]]]},
-     "entry 0.5 is not exact over F3"),
-    ({"field": "F2", "dims": [1, 1], "differentials": [[[1, 1]]]},
-     "2 entries for a vector of width 1"),
+    ({**_one_entry("F3", 1), "levels": [[0], [0.5]]},
+     "degree 1 needs 1 levels, each a non-negative integer: [0.5]"),
+    (_doc("F2", [1, 1], [[[[0, 1], [1, 1]]]], [[0], [0]]),
+     "columns[0][0]: [1, 1] is not a [row, value] pair with 0 < row < 1"),
+    (_one_entry("Q", 0), "columns[0][0]: entry 0 is zero in Q"),
+    (_one_entry("Q", "0/3"), "columns[0][0]: entry '0/3' is zero in Q"),
+    (_one_entry("F3", 3), "columns[0][0]: entry 3 is zero in F3"),
+    (_one_entry("F2", 2), "columns[0][0]: entry 2 is zero in F2"),
 ])
 def test_ss_json_entries_must_be_exact(tmp_path, capsys, doc, why):
     path = tmp_path / "inexact.json"
