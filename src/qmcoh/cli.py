@@ -98,6 +98,8 @@ def _out_file(path: str | None):
 def _cmd_qm(args) -> int:
     _check_at_least(args.samples, 1, "--samples")
     _check_at_least(args.size, 1, "--size")
+    if args.size > words.POWER_CAP:
+        raise CliError(f"--size must be <= {words.POWER_CAP}, got {args.size}")
     w = words.parse(args.word)
     if not w:
         raise CliError("--word must be a nonempty reduced word")

@@ -14,7 +14,10 @@ Counting is done on the one-character-per-letter string encoding (see
 counts on powers u . c^k . u^-1 are affine in k once c^k is longer than
 the counted word, so ``BrooksQuasimorphism.eval_power`` scans two short
 strings per base and extrapolates exactly; it never materializes c^k
-for large k.
+for large k. That line is read off a string by
+``BrooksQuasimorphism.line`` and cached per word by ``_power_line``; a
+caller that already holds the string of a long word, such as one built
+by ``words.power_chars``, reads the line off it directly, uncached.
 """
 
 from __future__ import annotations
@@ -92,29 +95,31 @@ class BrooksQuasimorphism(Quasimorphism):
     def __call__(self, g):
         return self.eval_string(words.chars(g))
 
-    def _power_line(self, base: Word) -> tuple:
-        """(k0, phi(base^k0), slope, core, conj, conj^-1) for base, the
-        last three as character strings; see ``eval_power``.
+    def line(self, s: str) -> tuple:
+        """(k0, phi(base^k0), slope, core, conj, conj^-1) for the base
+        whose ``chars`` encoding is s, the last three as character
+        strings; see ``eval_power``. Nothing is cached.
 
-        The base is encoded once and split on its string by
-        ``words.cyclic_chars``, which reduces it only if the string
-        holds an inverse pair. A long reduced base, such as a
-        materialized g^(2^16), never runs the letter-by-letter loop of
-        ``words.reduce``.
+        The string is split by ``words.cyclic_chars``, which reduces it
+        only if it holds an inverse pair. A long reduced string, such as
+        the string of g^(2^16), never runs a letter-by-letter loop.
         """
+        cc, uc = words.cyclic_chars(s)
+        ui = _inv_chars(uc)
+        if not cc:  # the identity: phi = 0 on every power
+            return (1, 0, 0, cc, uc, ui)
+        span = len(self._w) - 1
+        k0 = max(1, -(-span // len(cc)))
+        f0 = self.eval_string(uc + cc * k0 + ui)
+        slope = self.eval_string((cc * (k0 + 1))[:len(cc) + span])
+        return (k0, f0, slope, cc, uc, ui)
+
+    def _power_line(self, base: Word) -> tuple:
+        """``line`` of the word base, encoded once by ``words.chars`` and
+        cached per word."""
         line = self._cyclic.get(base)
         if line is None:
-            cc, uc = words.cyclic_chars(base)
-            ui = _inv_chars(uc)
-            if not cc:  # the identity: phi = 0 on every power
-                line = (1, 0, 0, cc, uc, ui)
-            else:
-                span = len(self._w) - 1
-                k0 = max(1, -(-span // len(cc)))
-                f0 = self.eval_string(uc + cc * k0 + ui)
-                slope = self.eval_string((cc * (k0 + 1))[:len(cc) + span])
-                line = (k0, f0, slope, cc, uc, ui)
-            self._cyclic[base] = line
+            line = self._cyclic[base] = self.line(words.chars(base))
         return line
 
     def eval_power(self, g: Word, n: int) -> int:

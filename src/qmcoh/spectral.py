@@ -154,9 +154,14 @@ class Filtration:
     def _validate(self):
         cx = self.cx
         for n, lv in enumerate(self.levels):
-            if len(lv) != cx.dims[n] or not _are_counts(lv):
-                raise ValueError(f"degree {n} needs {cx.dims[n]} levels, "
-                                 f"each a non-negative integer: {lv!r}")
+            if len(lv) != cx.dims[n]:
+                raise ValueError(f"degree {n} has {len(lv)} levels,"
+                                 f" needs {cx.dims[n]}")
+            if not _are_counts(lv):
+                i, x = next((i, x) for i, x in enumerate(lv)
+                            if not _is_count(x))
+                raise ValueError(f"degree {n} level entry {i}: {x!r} is"
+                                 f" not a non-negative integer")
         # F^p is spanned by coordinates of level >= p, so d keeps every
         # level exactly when each column stays in its own source level;
         # the mask of a level is fetched once per run of its columns

@@ -71,7 +71,6 @@ from .quasimorphism import (
     PulledBackCocycle,
     homogeneous_cocycle,
     homogeneous_representative,
-    homogenize,
 )
 from .spectral import (
     PersistencePairing,
@@ -309,13 +308,12 @@ def _duality_defect_bound(ctx, rng):
     N = ctx.cutoff
     P = 2 ** N
 
-    def b(x):
-        # x is a materialized g^P of up to 2^19 letters. The shared
-        # hom and phi memoize per word, so they would keep every g^P
-        # and its strings alive to the end of the identity; a fresh
-        # evaluator lets each word go after its sample.
-        fresh = BrooksQuasimorphism(phi.word)
-        return Fraction(homogenize(fresh, x)) - Fraction(phi(x))
+    def b(g):
+        # phi-bar(x) - phi(x) at x = g^P, both scanned in full on the
+        # string of x (up to 2^19 letters), built once from g's split
+        s = words.power_chars(g, P)
+        _k0, _f0, slope, *_ = phi.line(s)
+        return Fraction(slope) - Fraction(phi.eval_string(s))
 
     for _ in range(ctx.samples):
         g = F2.random_element(rng, 4)
@@ -323,8 +321,7 @@ def _duality_defect_bound(ctx, rng):
         gh = F2.mul(g, h)
         got = pair(c_d, m2_chain(F2, g, h, N))
         corr = Fraction(1, P) * (
-            b(words.power(g, P)) - b(words.power(gh, P))
-            + b(words.power(h, P))
+            b(g) - b(gh) + b(h)
         )
         want = Fraction(c_x(g, h)) + corr
         t.max_bound = max(t.max_bound, got.error_bound)

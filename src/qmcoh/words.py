@@ -14,8 +14,10 @@ identity.
 ``chars`` re-encodes a word as one character per letter (lowercase for
 generators, uppercase for inverses), which makes occurrence counting of
 subwords a plain substring scan. In that encoding the inverse of a
-letter is its ``swapcase``, so ``cyclic_chars`` tests reducedness and
-splits off the conjugator with string operations alone.
+letter is its ``swapcase``, so ``cyclic_chars`` takes such a string,
+tests its reducedness and splits off the conjugator with string
+operations alone, and ``power_chars`` builds the string of a power by
+string repetition, without the tuple of ``power``.
 """
 
 from __future__ import annotations
@@ -180,16 +182,20 @@ def power(w: Word, n: int) -> Word:
     of reducing products. Exponents beyond +-POWER_CAP are refused: the
     result could not be stored as a plain tuple anyway.
     """
-    if abs(n) > POWER_CAP:
-        raise ResourceCapExceeded(
-            f"exponent {n} exceeds cap {POWER_CAP} for explicit words"
-        )
+    _check_exponent(n)
     core, conj = cyclic_reduce(w)
     if n < 0:
         core, n = inv(core), -n
     if n == 0:
         return ()
     return conj + core * n + inv(conj)
+
+
+def _check_exponent(n: int) -> None:
+    if abs(n) > POWER_CAP:
+        raise ResourceCapExceeded(
+            f"exponent {n} exceeds cap {POWER_CAP} for explicit words"
+        )
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
@@ -260,24 +266,37 @@ def chars(w: Word) -> str:
         ) from None
 
 
-def cyclic_chars(w: Word) -> tuple[str, str]:
-    """``cyclic_reduce`` on the ``chars`` encoding: (core, conj) of w as
-    strings, for the same split w = conj . core . conj^-1.
+def cyclic_chars(s: str) -> tuple[str, str]:
+    """``cyclic_reduce`` on the ``chars`` encoding: (core, conj) of the
+    word whose string is s, as strings, for the same split
+    w = conj . core . conj^-1.
 
     A word is reduced exactly when its string holds no pair
     x + x.swapcase(), so one substring search per distinct letter, at C
-    speed, replaces the stack loop of ``reduce``; only a word that fails
-    the search is reduced and encoded again. A 0 or a generator beyond
-    the alphabet raises ValueError, as in ``chars``.
+    speed, replaces the stack loop of ``reduce``; only a string that
+    fails the search is parsed, reduced and encoded again.
     """
-    s = chars(w)
     if any(x + x.swapcase() in s for x in set(s)):
-        s = chars(reduce(w))
+        s = chars(parse(s))
     lo, hi = 0, len(s)
     while hi - lo >= 2 and s[lo] == s[hi - 1].swapcase():
         lo += 1
         hi -= 1
     return s[lo:hi], s[:lo]
+
+
+def power_chars(w: Word, n: int) -> str:
+    """``chars(power(w, n))``, built as conj + core * n + conj^-1 from
+    the split of w by string repetition, so the tuple of w^n is never
+    made. Exponents beyond +-POWER_CAP are refused, as by ``power``.
+    """
+    _check_exponent(n)
+    if n == 0:
+        return ""
+    core, conj = cyclic_chars(chars(w))
+    if n < 0:
+        core, n = core.swapcase()[::-1], -n
+    return conj + core * n + conj.swapcase()[::-1]
 
 
 def random_reduced(rng: random.Random, rank: int, length: int) -> Word:

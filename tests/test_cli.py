@@ -7,7 +7,7 @@ from qmcoh.cli import main
 from qmcoh.fixtures import z4_extension
 from qmcoh.spectral import (complex_to_json, hs_double_complex,
                             random_filtered_complex)
-from qmcoh.words import parse
+from qmcoh.words import POWER_CAP, parse
 
 
 def run(capsys, *argv):
@@ -74,6 +74,19 @@ def test_qm_defect_estimate_prints_a_rational(capsys):
 def test_meaningless_counts_are_usage_errors(capsys, argv, flag):
     rc, out, err = run(capsys, *argv)
     assert rc == 2 and out == "" and f"qmcoh: {flag} must be >= " in err
+
+
+def test_qm_defect_estimate_refuses_a_size_beyond_the_power_cap(
+        capsys, monkeypatch):
+    # refused before any sample word is drawn
+    def refuse(*args, **kwargs):
+        raise AssertionError("defect_estimate ran")
+
+    monkeypatch.setattr(qmcoh.cli, "defect_estimate", refuse)
+    rc, out, err = run(capsys, "qm", "defect-estimate", "--word", "ab",
+                       "--size", str(POWER_CAP + 1))
+    assert rc == 2 and out == ""
+    assert f"--size must be <= {POWER_CAP}, got {POWER_CAP + 1}" in err
 
 
 def test_qm_missing_argument_is_a_usage_error(capsys):
@@ -342,7 +355,7 @@ def _one_column(pairs, field="F2"):
     (_one_column([[2, 1]], "F3"),
      "columns[0][0]: [2, 1] is not a [row, value] pair with -1 < row < 2"),
     (_doc("F2", [1, 2], D0, [[0], [0]]),
-     "degree 1 needs 2 levels, each a non-negative integer: [0]"),
+     "degree 1 has 1 levels, needs 2"),
     (_doc("Q", [1, 1], [["1"]], [[0], [0]]),
      "columns[0][0] '1' is not a list"),
     ({"field": "F2", "dims": [1, 1], "differentials": [[[1]]],
@@ -364,9 +377,9 @@ def _one_column(pairs, field="F2"):
     (_doc("F2", [1, 2], [[[], []]], [[0], [0, 0]]),
      "degree 0: 2 columns for dimension 1"),
     (_doc("F2", [1, 2], D0, [[-1], [0, 0]]),
-     "degree 0 needs 1 levels, each a non-negative integer: [-1]"),
+     "degree 0 level entry 0: -1 is not a non-negative integer"),
     (_doc("F2", [1, 2], D0, [[0], [0, True]]),
-     "degree 1 needs 2 levels, each a non-negative integer: [0, True]"),
+     "degree 1 level entry 1: True is not a non-negative integer"),
     (_doc("F2", [1, 2], D0, 0), "levels 0 is not a list"),
     (_doc("F2", [1, 2], D0, [[0], 0]), "levels[1] 0 is not a list"),
     (_doc("F2", [1, 2], D0, [[1], [0, 1]]), "d leaves F^1 at degree 0"),
@@ -394,7 +407,7 @@ def _one_entry(field, entry):
     (_one_entry("Q", False), "entry False is not exact over Q"),
     (_one_entry("Q", "1/0"), "entry '1/0' divides by zero"),
     ({**_one_entry("F3", 1), "levels": [[0], [0.5]]},
-     "degree 1 needs 1 levels, each a non-negative integer: [0.5]"),
+     "degree 1 level entry 0: 0.5 is not a non-negative integer"),
     (_doc("F2", [1, 1], [[[[0, 1], [1, 1]]]], [[0], [0]]),
      "columns[0][0]: [1, 1] is not a [row, value] pair with 0 < row < 1"),
     (_one_entry("Q", 0), "columns[0][0]: entry 0 is zero in Q"),

@@ -129,13 +129,20 @@ def test_power_line_rejects_letters_without_a_name(base):
 
 def test_long_reduced_power_never_runs_the_reduce_loop(monkeypatch):
     g = p("baaba'b'")  # (ba) . ab . (ba)^-1
+    s = words.power_chars(g, 2**16)
     x = words.power(g, 2**16)
     phi = BrooksQuasimorphism(p("ab"))
 
     def refuse(letters):
-        raise AssertionError("reduce ran on a reduced word")
+        raise AssertionError("a letter loop ran on a reduced word")
 
+    # parse is where an unreduced string would go, and reduce is the
+    # loop behind it
     monkeypatch.setattr(words, "reduce", refuse)
+    monkeypatch.setattr(words, "parse", refuse)
+    k0, f0, slope, core, conj, conj_inv = phi.line(s)
+    assert (core, conj, conj_inv) == ("ab" * 2**16, "ba", "AB")
+    assert slope == 2**16
     assert homogenize(phi, x) == 2**16
 
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -445,6 +446,18 @@ def test_complex_validation_rejects_broken_differential():
         FiniteComplex(field, [1, 2, 1], [d0, [e, one.scale(-1, e)]])
 
 
+def test_a_bad_level_list_gets_a_short_message():
+    # the message names the length or the first bad entry, never the
+    # whole list: 4,032 levels once printed as 12 kB
+    cx = FiniteComplex(FIELDS["F2"], [4032], [])
+    good = [p % 5 for p in range(4032)]
+    for levels in (good[:-1], good[:-1] + [-1], good[:-2] + [0.5, "x"]):
+        with pytest.raises(ValueError) as info:
+            Filtration(cx, [levels])
+        assert len(str(info.value).encode()) < 200
+    Filtration(cx, [good])
+
+
 def test_filtration_validation_rejects_unstable_levels():
     f2 = FIELDS["F2"]
     cx = FiniteComplex(f2, [1, 1], [[1]])  # d = identity
@@ -456,10 +469,14 @@ def test_filtration_validation_rejects_unstable_levels():
     Filtration(cx, [[1], [1]])
     with pytest.raises(ValueError, match="one level list per degree"):
         Filtration(cx, [[0]])
-    for levels in ([[0, 0], [0]], [[0], []], [[-1], [1]], [[1.0], [1]],
-                   [["1"], [1]], [[True], [1]], [[None], [1]]):
-        with pytest.raises(ValueError, match="each a non-negative integer"):
+    for levels, why in (([[0, 0], [0]], "degree 0 has 2 levels, needs 1"),
+                        ([[0], []], "degree 1 has 0 levels, needs 1")):
+        with pytest.raises(ValueError, match=why):
             Filtration(cx, levels)
+    for bad in (-1, 1.0, "1", True, None):
+        with pytest.raises(ValueError, match=re.escape(
+                f"degree 0 level entry 0: {bad!r} is not a non-negative")):
+            Filtration(cx, [[bad], [1]])
 
     class Level(int):
         pass
@@ -469,7 +486,8 @@ def test_filtration_validation_rejects_unstable_levels():
     wide = FiniteComplex(f2, [3, 1], [[0, 0, 0]])  # d = 0
     for bad in ([0, True, 0], [0, -1, 2], [0, 1.0, 1], [0, "1", 1],
                 [Level(1), Level(-1), Level(2)], [0, None, 1]):
-        with pytest.raises(ValueError, match="each a non-negative integer"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"degree 0 level entry 1: {bad[1]!r} is not a non-negative")):
             Filtration(wide, [bad, [0]])
     assert Filtration(wide, [[0, Level(2), 1], [Level(0)]]).u == [2, 0]
     for name in ("F3", "Q"):

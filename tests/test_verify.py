@@ -3,8 +3,10 @@ import tracemalloc
 
 import pytest
 
+from qmcoh import words
 from qmcoh.verify import (
     REGISTRY,
+    VerifyContext,
     registry_rows,
     report_json,
     run_suite,
@@ -103,11 +105,11 @@ def test_parameter_validation():
 
 
 def test_duality_defect_bound_drops_each_long_power():
-    # duality-defect-bound materializes g^P, (gh)^P and h^P with
-    # P = 2^16, up to 2^19 letters (~4 MB as a tuple) each, for every
-    # sample. Each must go when its sample is done: an evaluator memo
-    # keyed by the word would hold all 18 of them to the end, and the
-    # peak was 54 MB when one did.
+    # duality-defect-bound builds the strings of g^P, (gh)^P and h^P
+    # with P = 2^16, up to 2^19 letters each, for every sample. Each
+    # must go when its sample is done: an evaluator memo keyed by the
+    # word would hold all 18 of them to the end, and the peak was 54 MB
+    # when one did (with the words also held as tuples).
     tracemalloc.start()
     try:
         run_suite("chains", seed=0, cutoff=16)
@@ -115,3 +117,26 @@ def test_duality_defect_bound_drops_each_long_power():
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20
+
+
+def test_duality_defect_bound_builds_no_long_tuple(monkeypatch):
+    # its long powers exist only as strings made by words.power_chars:
+    # no power tuple and no re-encoding of one, while the identity
+    # still holds on every sample
+    power, chars = words.power, words.chars
+
+    def short_power(w, n):
+        out = power(w, n)
+        assert len(out) <= 64, f"power built {len(out)} letters"
+        return out
+
+    def short_chars(w):
+        assert len(w) <= 64, f"chars encoded {len(w)} letters"
+        return chars(w)
+
+    monkeypatch.setattr(words, "power", short_power)
+    monkeypatch.setattr(words, "chars", short_chars)
+    spec = next(s for s in REGISTRY if s.id == "duality-defect-bound")
+    ctx = VerifyContext(seed=0, cutoff=16)
+    out = spec.run(ctx, ctx.rng(spec.id))
+    assert out.checked == 12 and out.failures == ()

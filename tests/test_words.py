@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qmcoh import words
 from qmcoh.errors import ResourceCapExceeded
@@ -16,6 +16,7 @@ from qmcoh.words import (
     mul,
     parse,
     power,
+    power_chars,
     reduce,
 )
 
@@ -198,6 +199,28 @@ def test_entry_mul_inverse_base_stays_symbolic():
 
 @given(raw_words)
 def test_cyclic_chars_is_cyclic_reduce_on_the_encoding(ls):
-    # unreduced input too: the string check sends it through reduce
+    # unreduced input too: chars encodes letter by letter, so the string
+    # keeps every inverse pair and the check sends it through reduce
     core, conj = cyclic_reduce(tuple(ls))
-    assert cyclic_chars(tuple(ls)) == (chars(core), chars(conj))
+    assert cyclic_chars(chars(tuple(ls))) == (chars(core), chars(conj))
+
+
+def conjugated(ws):
+    return st.builds(lambda u, c: mul(u, c, inv(u)), ws, ws)
+
+
+@given(reduced_words | conjugated(reduced_words), st.integers(-40, 40))
+def test_power_chars_is_the_string_of_power(w, n):
+    assert power_chars(w, n) == chars(power(w, n))
+
+
+short_words = st.lists(letters, max_size=6).map(reduce)
+
+
+@given(short_words | conjugated(short_words), st.sampled_from([1, -1]))
+@settings(max_examples=20)
+def test_power_chars_at_the_cap(w, sign):
+    n = sign * words.POWER_CAP
+    assert power_chars(w, n) == chars(power(w, n))
+    with pytest.raises(ResourceCapExceeded):
+        power_chars(w, n + sign)
