@@ -199,21 +199,44 @@ def _complex_digest(cx, filt):
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("name, max_total, digest", [
+@pytest.mark.parametrize("name, arg, digest", [
     ("F2", 5,
      "65558d037e6261d3485ca0d6d183b032f7aeb9730541f3fe612257ec5a57821e"),
     ("F3", 4,
      "84a313e662584fd68fd98c6862c18f0bc44fcb95b69b304288ff3d3dd42f30cd"),
     ("Q", 3,
      "712e72179b07dcbf9bf9ea2d2d0083aea2a13d54a35ea8d6a6c575e62ede0323"),
+    ("random", 0,
+     "71d695d987ffcdc6cd7329b7a36b37ca575cec1d7d2b2453af5b790b7d045873"),
+    ("random", 1,
+     "dbe07e5df6ebbd15156a04296a318f9ebc10b3a5af0e7728e9c804e1ae6fe399"),
+    ("random", 2,
+     "e1bb013d0568d354b55601c692dc11978b067c8b315b9351c67bcf058fc15d9b"),
+    ("random", 3,
+     "d5003323ff3606da06e9acab75aef9699e7e3a2b132a27fb9406d20a9567804a"),
+    ("random", 4,
+     "fd726fc869f1ac53e4cd6520c15a10f96e194b1619dcaca541d6ac16333fcf05"),
+    ("random", 5,
+     "7914ffe792d9fb1e02954e3f6ac2b5b571593e5581d75bfb0a440623f2024d15"),
+    ("random", 6,
+     "5e59a129a69599317b3f5fad2f20855b9f7e5ec1ae90c2c2cd33378a612277a9"),
+    ("random", 7,
+     "5211f31b0185ea2f2309b21794f063708909f924b3e0507ed799686a6403551e"),
 ])
-def test_double_complex_is_pinned_column_by_column(name, max_total, digest):
-    # the page tables under perfbench/ref/ would not see a column move
-    if name == "F2" and max_total == 5:
+def test_double_complex_is_pinned_column_by_column(name, arg, digest):
+    # the page tables under perfbench/ref/ would not see a column move;
+    # arg is max_total for the HS complexes and the seed for the random
+    # ones
+    if name == "random":
+        cx, filt, _ = random_filtered_complex(arg)
+    elif name == "F2" and arg == 5:
         cx, filt = CX, FILT
     else:
         cx, filt, _ = hs_double_complex(z4_extension(), field=FIELDS[name],
-                                        max_total=max_total)
+                                        max_total=arg)
+    # PersistencePairing._sorted takes its fast path on ascending levels
+    for levels in filt.levels:
+        assert levels == sorted(levels)
     assert _complex_digest(cx, filt) == digest
 
 
