@@ -6,9 +6,8 @@ differentials given column-wise. A ``Filtration`` is a decreasing,
 differential-stable chain of subspaces in every degree, with ``F^0``
 the whole space and ``F^p = 0`` beyond the regularity bound ``u(n)``,
 given as one level per coordinate, so that every subspace below is a
-mask projection. A filtration given by spanning vectors (the random
-complexes) is rewritten in an adapted basis, once, by
-``adapt_filtration``.
+mask projection. So every basis is adapted to its filtration, and
+``random_filtered_complex`` draws its complexes in such a basis.
 
 Pages come from the persistence pairing (``PersistencePairing``): one
 column reduction of each differential, in an order compatible with the
@@ -92,7 +91,7 @@ class FiniteComplex:
     """Cochain complex in degrees 0..max_degree, differentials as column
     lists; d(basis_i of degree n) = diffs[n][i] in degree n+1."""
 
-    def __init__(self, field, dims, diffs, check: bool = True):
+    def __init__(self, field, dims, diffs):
         if len(diffs) != len(dims) - 1:
             raise ValueError("need exactly one differential per adjacent pair")
         self.field = field
@@ -104,12 +103,11 @@ class FiniteComplex:
                 raise ValueError(f"degree {n}: {len(cols)} columns for "
                                  f"dimension {self.dims[n]}")
         self._rank_cache: dict = {}
-        if check:
-            for n in range(len(self.diffs) - 1):
-                for i, col in enumerate(self.diffs[n]):
-                    if not self.ops[n + 2].is_zero(self.apply(n + 1, col)):
-                        raise InvariantViolation(
-                            f"d.d != 0 on basis vector {i} of degree {n}")
+        for n in range(len(self.diffs) - 1):
+            for i, col in enumerate(self.diffs[n]):
+                if not self.ops[n + 2].is_zero(self.apply(n + 1, col)):
+                    raise InvariantViolation(
+                        f"d.d != 0 on basis vector {i} of degree {n}")
 
     @property
     def max_degree(self) -> int:
@@ -140,15 +138,14 @@ class Filtration:
     least p, a mask, and vanishes beyond ``u[n] = max(levels[n])``; no
     basis is stored."""
 
-    def __init__(self, cx: FiniteComplex, levels, check: bool = True):
+    def __init__(self, cx: FiniteComplex, levels):
         if len(levels) != len(cx.dims):
             raise ValueError(f"one level list per degree required, not"
                              f" {len(levels)} for {len(cx.dims)} degrees")
         self.cx = cx
         self.levels = [list(lv) for lv in levels]
         self._masks: dict = {}
-        if check:
-            self._validate()
+        self._validate()
         self.u = [max(lv, default=0) for lv in self.levels]
 
     def _validate(self):
@@ -198,42 +195,6 @@ class Filtration:
             self._masks[key] = self.cx.ops[n].mask(
                 i for i, lv in enumerate(self.levels[n]) if lv >= p)
         return self._masks[key]
-
-
-def adapt_filtration(cx: FiniteComplex, bases):
-    """(complex, ``Filtration``) isomorphic as a filtered complex to cx
-    filtered by ``bases[n][p]``, vectors spanning F^p K^n (a shorter
-    chain means zero beyond). Per degree, one echelon runs from the top
-    level down; the vectors of ``bases[n][p]`` that enlarge it get level
-    p and, ordered by ascending level, form the adapted basis in which
-    the complex is rewritten. Raises ``InvariantViolation`` when F^0
-    does not span, a level is not inside the one below it (told by its
-    own rank), or d leaves a level. Only random complexes need it."""
-    if len(bases) != len(cx.dims):
-        raise ValueError("one level chain per degree required")
-    adapted, levels = [], []
-    for n, chain in enumerate(bases):
-        ops = cx.ops[n]
-        ech = ops.echelon()
-        picked = []  # (level, vector), top level first
-        for p in reversed(range(len(chain))):
-            picked += [(p, v) for v in chain[p] if ech.add(v)]
-            # the echelon now spans F^p + F^{p+1}, which is F^p exactly
-            # when F^{p+1} lies inside it
-            if ech.rank != rank_of(ops, chain[p]):
-                raise InvariantViolation(
-                    f"F^{p + 1} not inside F^{p} at degree {n}")
-        if ech.rank != cx.dims[n]:
-            raise InvariantViolation(f"F^0 does not span degree {n}")
-        picked.sort(key=lambda pv: pv[0])
-        levels.append([p for p, _ in picked])
-        adapted.append([v for _, v in picked])
-    diffs = [solve_coords(cx.ops[n + 1], adapted[n + 1],
-                          [cx.apply(n, b) for b in adapted[n]])
-             for n in range(cx.max_degree)]
-    # a change of basis keeps d.d = 0, which cx has already passed
-    new = FiniteComplex(cx.field, cx.dims, diffs, check=False)
-    return new, Filtration(new, levels, check=True)
 
 
 class SpectralSequence:
@@ -726,11 +687,11 @@ def hs_double_complex(ext, field=GF2, max_total: int = 5):
             cols += block
         diffs.append(cols)
 
-    cx = FiniteComplex(field, dims, diffs, check=True)
+    cx = FiniteComplex(field, dims, diffs)
     # column filtration: block (p, q) has level p
     levels = [[p for p in range(n + 1) for _ in range(blocks[(p, n - p)])]
               for n in range(max_total + 1)]
-    filt = Filtration(cx, levels, check=True)
+    filt = Filtration(cx, levels)
     return cx, filt, {"blocks": blocks}
 
 
@@ -740,15 +701,22 @@ def hs_row_filtration(cx: FiniteComplex, info: dict) -> Filtration:
     blocks = info["blocks"]
     levels = [[n - p for p in range(n + 1) for _ in range(blocks[(p, n - p)])]
               for n in range(len(cx.dims))]
-    return Filtration(cx, levels, check=True)
+    return Filtration(cx, levels)
 
 
 def random_filtered_complex(seed: int):
-    """Seeded filtered complex with known homology: a normal form with
-    prescribed ranks, conjugated degreewise by random invertible maps,
-    filtered by levels that the differential never decreases, given to
-    ``adapt_filtration`` as bases mixed within the levels. Returns
-    (complex, filtration, homology dims)."""
+    """Seeded filtered complex with known homology, written in the basis
+    it is drawn in. Per degree n: a normal form N with basis
+    [h | image | source] and prescribed ranks (N sends source j to image
+    j), a level per normal-form vector that N never lowers, and a
+    unitriangular T_n adding to vector k random multiples of the later
+    vectors of no lower level, so that T_n keeps every level. The basis
+    is the columns of T_n in (level, index) order, a permutation P_n,
+    and d_n is the matrix P^-1 T_{n+1}^-1 N T_n P, from one solve.
+    Conjugating everything by a random invertible C_n first would give
+    the same matrix, since C cancels; the C_n are still drawn so that
+    the seeded stream, and with it every complex, stays the same.
+    Returns (complex, filtration, homology dims)."""
     rng = random.Random(f"filtered-complex:{seed}")
     field = (GF2, FIELDS["F3"], FIELDS["F5"], FIELDS["Q"])[seed % 4]
     top = 4
@@ -768,45 +736,37 @@ def random_filtered_complex(seed: int):
         lv += src_levels[n]
         levels.append(lv)
 
-    def random_invertible(dim, ops):
-        while True:
-            cols = [ops.from_entries([rng.randrange(field.p or 5)
-                                      for _ in range(dim)])
-                    for _ in range(dim)]
-            if rank_of(ops, cols) == dim:
-                return cols
+    # C_n, redrawn until invertible; only the stream reads it
+    for dim in dims:
+        ops = vector_ops(field, dim)
+        while rank_of(ops, [ops.from_entries([rng.randrange(field.p or 5)
+                                              for _ in range(dim)])
+                            for _ in range(dim)]) < dim:
+            pass
 
-    change = [random_invertible(dims[n], vector_ops(field, dims[n]))
-              for n in range(top + 1)]
+    bases = []  # columns of T_n P_n
+    for n, lv in enumerate(levels):
+        ops = vector_ops(field, dims[n])
+        mixed = [ops.from_sparse(
+            {k: 1, **{j: rng.randrange(field.p or 5)
+                      for j in range(k + 1, dims[n]) if lv[j] >= lv[k]}})
+            for k in range(dims[n])]
+        bases.append([mixed[k] for k in sorted(range(dims[n]),
+                                                 key=lv.__getitem__)])
 
     diffs = []
     for n in range(top):
-        ops_src = vector_ops(field, dims[n])
-        ops_tgt = vector_ops(field, dims[n + 1])
+        ops = vector_ops(field, dims[n + 1])
         src_start = hom[n] + (bnd[n - 1] if n > 0 else 0)
-        img_start = hom[n + 1]
         # the normal form's d: zero on [h | image], source j -> image j
-        normal_d = ([ops_tgt.zero_vec] * src_start
-                    + change[n + 1][img_start:img_start + bnd[n]])
-        inverse = solve_coords(ops_src, change[n], [
-            ops_src.basis_vector(k) for k in range(dims[n])])
-        diffs.append([ops_tgt.combine(c, normal_d) for c in inverse])
+        normal_d = ([ops.zero_vec] * src_start
+                    + [ops.basis_vector(hom[n + 1] + j)
+                       for j in range(bnd[n])])
+        diffs.append(solve_coords(ops, bases[n + 1], [
+            ops.combine(v, normal_d) for v in bases[n]]))
 
-    cx = FiniteComplex(field, dims, diffs, check=True)
-    # vector k of each F^p basis also takes random multiples of the later
-    # change vectors of no lower level: a triangular map that keeps every
-    # F^p, so the adapted basis, and with it each column, stays mixed
-    bases = []
-    for n, lv in enumerate(levels):
-        ops = vector_ops(field, dims[n])
-        mixed = [ops.combine(ops.from_sparse(
-            {k: 1, **{j: rng.randrange(field.p or 5)
-                      for j in range(k + 1, dims[n]) if lv[j] >= lv[k]}}),
-            change[n]) for k in range(dims[n])]
-        bases.append([[v for v, level in zip(mixed, lv) if level >= p]
-                      for p in range(max(lv, default=0) + 1)])
-    cx, filt = adapt_filtration(cx, bases)
-    return cx, filt, hom
+    cx = FiniteComplex(field, dims, diffs)
+    return cx, Filtration(cx, [sorted(lv) for lv in levels]), hom
 
 
 # ----------------------------------------------------------------- reports
@@ -889,8 +849,9 @@ def complex_to_json(cx: FiniteComplex, filt: Filtration) -> dict:
 
 def complex_from_json(doc: dict):
     """(complex, filtration) from the document ``complex_to_json`` writes:
-    rows strictly ascend below the target's width, values are exact and
-    nonzero, and the levels go through ``Filtration``'s own checks."""
+    at least two degrees, rows strictly ascend below the target's width,
+    values are exact and nonzero, and the levels go through
+    ``Filtration``'s own checks."""
     if not isinstance(doc, dict):
         raise ValueError("the document must be a JSON object")
     missing = [k for k in ("field", "dims", "columns", "levels")
@@ -908,6 +869,9 @@ def complex_from_json(doc: dict):
     for d in dims:
         if not _is_count(d):
             raise ValueError(f"dims entry {d!r} is not a non-negative integer")
+    if len(dims) < 2:
+        raise ValueError(f"a complex needs at least two degrees, dims lists"
+                         f" {len(dims)}")
     if len(columns) != len(dims) - 1:
         raise ValueError(f"columns lists {len(columns)} differentials for"
                          f" {len(dims)} dims, not one fewer than dims")
@@ -931,5 +895,5 @@ def complex_from_json(doc: dict):
                 last = pair[0]
                 coords[last] = _decode_entry(field, pair[1], where)
             diffs[n].append(ops.from_sparse(coords))
-    cx = FiniteComplex(field, dims, diffs, check=True)
-    return cx, Filtration(cx, levels, check=True)
+    cx = FiniteComplex(field, dims, diffs)
+    return cx, Filtration(cx, levels)

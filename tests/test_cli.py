@@ -383,6 +383,10 @@ def _one_column(pairs, field="F2"):
     (_doc("F2", [1, 2], D0, 0), "levels 0 is not a list"),
     (_doc("F2", [1, 2], D0, [[0], 0]), "levels[1] 0 is not a list"),
     (_doc("F2", [1, 2], D0, [[1], [0, 1]]), "d leaves F^1 at degree 0"),
+    (_doc("F2", [1], [], [[0]]),
+     "a complex needs at least two degrees, dims lists 1"),
+    (_doc("F2", [], [], []),
+     "a complex needs at least two degrees, dims lists 0"),
 ])
 def test_ss_malformed_json_is_a_usage_error(tmp_path, capsys, doc, why):
     path = tmp_path / "bad.json"

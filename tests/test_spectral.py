@@ -10,12 +10,11 @@ from qmcoh.errors import BudgetExceeded, InvariantViolation
 from qmcoh.extensions import ExtensionData
 from qmcoh.fixtures import z4_extension
 from qmcoh.groups import FiniteGroup
-from qmcoh.linalg import FIELDS, rank_of, vector_ops
+from qmcoh.linalg import FIELDS, rank_of, solve_coords, vector_ops
 from qmcoh.spectral import (DEFAULT_BUDGET_MB, DEFAULT_WINDOW,
                             ENTRY_BYTES_PRIME, ENTRY_BYTES_RATIONAL,
                             FiniteComplex, Filtration, PersistencePairing,
                             SpectralSequence, _orbit_tables,
-                            adapt_filtration,
                             complex_from_json,
                             complex_to_json, e_infinity_check,
                             hs_double_complex, hs_memory_estimate_mb,
@@ -280,8 +279,7 @@ def _d_data_digest(cx, filt):
 ])
 def test_induced_differentials_are_pinned_column_by_column(case, digest):
     # d_squared_ok composes these columns, so they are pinned beyond the
-    # ranks in the page refs; the random cases go through
-    # adapt_filtration
+    # ranks in the page refs
     if isinstance(case, int):
         cx, filt, _ = random_filtered_complex(case)
     elif case == ("F2", 5):
@@ -417,26 +415,29 @@ def test_json_round_trip_all_fields():
         assert filt2.levels == filt.levels, name
 
 
-def _level_preserving_bases(cx, filt, rng):
-    """Level bases of ``filt`` moved by a random invertible map g that
-    keeps every level: g(e_i) = c e_i + sum a e_j over a few j > i, with
-    c nonzero. g is triangular, and it keeps the levels because they
-    ascend with the coordinate."""
-    field = cx.field
-    bases = []
-    for n, levels in enumerate(filt.levels):
-        assert levels == sorted(levels)
-        dim = len(levels)
+def _conjugated(cx, filt, rng):
+    """cx written in the basis g(e_i) of a random invertible g that keeps
+    every level: g(e_i) = c e_i + sum a e_j over a few j > i, with c
+    nonzero. g is triangular, and it keeps the levels because they
+    ascend with the coordinate. Returns the moved complex and the level
+    of each g(e_i), the least level on its support."""
+    images, levels = [], []
+    for n, lv in enumerate(filt.levels):
+        assert lv == sorted(lv)
+        ops, dim = cx.ops[n], len(lv)
         image = []
         for i in range(dim):
             later = range(i + 1, dim)
             coords = {j: rng.randrange(-2, 3)
                       for j in rng.sample(later, min(2, len(later)))}
-            coords[i] = rng.randrange(1, field.p or 5)
-            image.append(cx.ops[n].from_sparse(coords))
-        bases.append([[v for v, lv in zip(image, levels) if lv >= p]
-                      for p in range(filt.level_bound(n) + 1)])
-    return bases
+            coords[i] = rng.randrange(1, cx.field.p or 5)
+            image.append(ops.from_sparse(coords))
+        images.append(image)
+        levels.append([min(lv[i] for i in ops.entries(v)) for v in image])
+    diffs = [solve_coords(cx.ops[n + 1], images[n + 1],
+                          [cx.apply(n, v) for v in images[n]])
+             for n in range(cx.max_degree)]
+    return FiniteComplex(cx.field, cx.dims, diffs), levels
 
 
 @pytest.mark.parametrize("name, max_total", [
@@ -445,11 +446,11 @@ def test_pages_are_filtered_isomorphism_invariants(name, max_total):
     cx, filt, _ = hs_double_complex(z4_extension(), field=FIELDS[name],
                                     max_total=max_total)
     rng = random.Random(f"conjugate:{name}:{max_total}")
-    moved, moved_filt = adapt_filtration(
-        cx, _level_preserving_bases(cx, filt, rng))
+    moved, levels = _conjugated(cx, filt, rng)
     assert moved.diffs != cx.diffs
-    assert moved_filt.levels == filt.levels
-    assert sequence_report(moved, moved_filt) == sequence_report(cx, filt)
+    assert levels == filt.levels
+    assert sequence_report(moved, Filtration(moved, levels)) \
+        == sequence_report(cx, filt)
 
 
 def test_complex_validation_rejects_broken_differential():
@@ -486,8 +487,6 @@ def test_filtration_validation_rejects_unstable_levels():
     cx = FiniteComplex(f2, [1, 1], [[1]])  # d = identity
     with pytest.raises(InvariantViolation, match="d leaves F"):
         # level 1 contains degree 0 but nothing in degree 1
-        adapt_filtration(cx, [[[1], [1]], [[1]]])
-    with pytest.raises(InvariantViolation, match="d leaves F"):
         Filtration(cx, [[1], [0]])
     Filtration(cx, [[1], [1]])
     with pytest.raises(ValueError, match="one level list per degree"):
@@ -519,24 +518,15 @@ def test_filtration_validation_rejects_unstable_levels():
         e = one.from_entries([1])
         cx = FiniteComplex(field, [1, 1], [[e]])
         with pytest.raises(InvariantViolation, match="d leaves F"):
-            adapt_filtration(cx, [[[e], [e]], [[e]]])
-        # d(e) = e0 - e1 lies in F^1 = span(e0 - e1), but not in
-        # span(e0 + e1), which is the same line over GF(2)
+            Filtration(cx, [[1], [0]])
+        Filtration(cx, [[1], [1]])
+        # d(e) = e0 - e1 has an entry on each coordinate, so it leaves
+        # F^1 unless both have level 1
         cx = FiniteComplex(field, [1, 2], [[two.from_entries([1, -1])]])
-        whole = [two.basis_vector(0), two.basis_vector(1)]
-        with pytest.raises(InvariantViolation, match="d leaves F"):
-            adapt_filtration(
-                cx, [[[e], [e]], [whole, [two.from_entries([1, 1])]]])
-        adapted, filt = adapt_filtration(
-            cx, [[[e], [e]], [whole, [two.from_entries([1, -1])]]])
-        assert filt.levels == [[1], [0, 1]]
-        assert adapted.diffs == [[two.basis_vector(1)]]
-        # the level checks: F^0 spans, and each level lies in the one below
-        with pytest.raises(InvariantViolation, match="does not span"):
-            adapt_filtration(cx, [[[e]], [[two.basis_vector(0)]]])
-        with pytest.raises(InvariantViolation, match="F.2 not inside F.1"):
-            adapt_filtration(cx, [[[e]], [whole, [two.basis_vector(0)],
-                                          [two.basis_vector(1)]]])
+        for levels in ([[1], [1, 0]], [[1], [0, 1]]):
+            with pytest.raises(InvariantViolation, match="d leaves F"):
+                Filtration(cx, levels)
+        assert Filtration(cx, [[1], [1, 1]]).u == [1, 1]
 
 
 def test_report_is_convergent_and_ordered():
@@ -728,10 +718,11 @@ def _with_moved_entry(cx, filt, n, p):
     entries = ops.entries(cx.diffs[n][j])
     x = entries.pop(min(entries))
     entries[filt.levels[n + 1].index(p - 1)] = x
-    diffs = [list(cols) for cols in cx.diffs]
-    diffs[n][j] = ops.from_sparse(entries)
-    # d.d no longer vanishes, and only the filtration check is wanted
-    return FiniteComplex(cx.field, cx.dims, diffs, check=False)
+    broken = FiniteComplex(cx.field, cx.dims, cx.diffs)
+    # set after the d.d check, which the moved column would fail; only
+    # the filtration check is wanted
+    broken.diffs[n][j] = ops.from_sparse(entries)
+    return broken
 
 
 @pytest.mark.parametrize("name", ["F2", "F3"])
