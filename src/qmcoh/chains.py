@@ -357,19 +357,6 @@ class HomogeneousChain:
             [*self.support.items(), *other.support.items()],
         )
 
-    def scale(self, a):
-        a = Fraction(a)
-        return HomogeneousChain(
-            self.group, self.degree,
-            [(t, a * c) for t, c in self.support.items()],
-        )
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __eq__(self, other):
         return (
             isinstance(other, HomogeneousChain)

@@ -18,7 +18,6 @@ and the empty string is the identity.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -66,30 +65,28 @@ def _cannot_write(path: str, ex: OSError) -> CliError:
     return CliError(f"cannot write --out {path}: {ex.strerror or ex}")
 
 
-@contextlib.contextmanager
-def _out_file(path: str | None):
-    """Open the --out file before the work that fills it, so that a path
-    that cannot be written fails before any work runs; yields a
-    ``write(text)`` function, or None when no path is given. An I/O
-    error opening or writing the file is a usage error; an error raised
-    by the work in between passes through unchanged."""
+def _out_writer(path: str | None):
+    """A ``write(text)`` function that replaces the contents of the --out
+    file, or None when no path is given. The file is opened here, before
+    the work that fills it, and without truncating it: a path that
+    cannot be written fails before any work runs, and a run that fails
+    leaves the old contents. An I/O error opening or writing the file is
+    a usage error."""
     if not path:
-        yield None
-        return
+        return None
     try:
-        fh = open(path, "w")
+        open(path, "a").close()
     except OSError as ex:
         raise _cannot_write(path, ex) from ex
 
     def write(text: str) -> None:
         try:
-            fh.write(text)
-            fh.flush()  # so that a full disk fails here, not at close
+            with open(path, "w") as fh:
+                fh.write(text)
         except OSError as ex:
             raise _cannot_write(path, ex) from ex
 
-    with fh:
-        yield write
+    return write
 
 
 # ------------------------------------------------------------------- qm
@@ -135,15 +132,15 @@ def _cmd_verify(args) -> int:
         for ident, suite, law in registry_rows():
             print(f"{ident:26} {suite:9} {law}")
         return 0
-    with _out_file(args.out) as write_out:
-        report = run_suite(
-            suite=args.suite, fixture=args.fixture, seed=args.seed,
-            samples=args.samples, cutoff=args.cutoff_n, timings=args.timings,
-        )
-        text = report_json(report)
-        sys.stdout.write(text)
-        if write_out:
-            write_out(text)
+    write_out = _out_writer(args.out)
+    report = run_suite(
+        suite=args.suite, fixture=args.fixture, seed=args.seed,
+        samples=args.samples, cutoff=args.cutoff_n, timings=args.timings,
+    )
+    text = report_json(report)
+    sys.stdout.write(text)
+    if write_out:
+        write_out(text)
     return 0 if report["passed"] else 1
 
 
@@ -199,13 +196,12 @@ def _cmd_ss(args) -> int:
     _check_at_least(args.max_r, 0, "--max-r")
     _check_at_least(args.window, 0, "--window")
     cx, filt = _load_complex(args)
-    with _out_file(args.out) as write_out:
-        report = sequence_report(cx, filt, window=args.window,
-                                 max_r=args.max_r)
-        _print_ss(report)
-        if write_out:
-            write_out(json.dumps(complex_to_json(cx, filt), indent=2,
-                                 sort_keys=True) + "\n")
+    write_out = _out_writer(args.out)
+    report = sequence_report(cx, filt, window=args.window, max_r=args.max_r)
+    _print_ss(report)
+    if write_out:
+        write_out(json.dumps(complex_to_json(cx, filt), indent=2,
+                             sort_keys=True) + "\n")
     return 0
 
 

@@ -263,12 +263,6 @@ class CentralExtensionModel(Group):
         g_inv = self.group.inv(g)
         return (-t - Fraction(self.cocycle(g, g_inv)), g_inv)
 
-    def contains(self, elt) -> bool:
-        return (
-            isinstance(elt, tuple) and len(elt) == 2
-            and self.group.contains(elt[1])
-        )
-
     def project(self, elt):
         return elt[1]
 
@@ -301,11 +295,6 @@ class CentralExtensionModel(Group):
     def random_element(self, rng, size: int = 8):
         t = Fraction(rng.randint(-8, 8), rng.choice((1, 2, 4)))
         return (t, self.group.random_element(rng, size))
-
-    def test_elements(self):
-        out = [(Fraction(0), g) for g in self.group.test_elements()]
-        out.append((Fraction(1), self.group.identity))
-        return tuple(out)
 
     def __repr__(self):
         return f"CentralExtensionModel({self.group!r})"

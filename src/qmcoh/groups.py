@@ -55,9 +55,6 @@ class Group:
                 base = self.mul(base, base)
         return acc
 
-    def contains(self, g) -> bool:
-        raise NotImplementedError
-
     def random_element(self, rng: random.Random, size: int = 8):
         raise NotImplementedError
 
@@ -161,9 +158,6 @@ class FiniteGroup(Group):
 
     def inv(self, g):
         return self._inv[g]
-
-    def contains(self, g) -> bool:
-        return isinstance(g, int) and 1 <= g <= self.order
 
     def elements(self):
         return range(1, self.order + 1)
@@ -361,24 +355,11 @@ class TwistedProduct(Group):
         fx = self.fiber.mul(self.fiber.inv(x), self.fiber.inv(self.f(a, a_inv)))
         return (a_inv, self.psi(a).inverse()(fx))
 
-    def contains(self, g) -> bool:
-        return (
-            isinstance(g, tuple)
-            and len(g) == 2
-            and self.base.contains(g[0])
-            and self.fiber.contains(g[1])
-        )
-
     def random_element(self, rng, size: int = 8):
         return (
             self.base.random_element(rng, size),
             self.fiber.random_element(rng, size),
         )
-
-    def test_elements(self):
-        out = [(a, self.fiber.identity) for a in self.base.test_elements()]
-        out += [(self.base.identity, x) for x in self.fiber.test_elements()]
-        return tuple(out)
 
     def include_fiber(self, x):
         return (self.base.identity, x)

@@ -28,7 +28,9 @@ from fractions import Fraction
 
 
 class PrimeField:
-    """Arithmetic mod p; elements are plain ints in [0, p)."""
+    """The field mod p; elements are plain ints in [0, p). ``of`` brings
+    an int or a Fraction in and ``inv`` inverts; the vector backends do
+    the rest inline (``% p``)."""
 
     def __init__(self, p: int):
         if p < 2 or any(p % k == 0 for k in range(2, p)):
@@ -44,15 +46,6 @@ class PrimeField:
             return (x.numerator * self.inv(x.denominator % self.p)) % self.p
         return int(x) % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverting 0")
@@ -61,15 +54,9 @@ class PrimeField:
     def __repr__(self):
         return f"GF({self.p})"
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("prime", self.p))
-
 
 class RationalField:
-    """Fraction arithmetic behind the same protocol."""
+    """The rationals behind the same protocol; elements are Fractions."""
 
     p = None
     zero = Fraction(0)
@@ -78,15 +65,6 @@ class RationalField:
     def of(self, x) -> Fraction:
         return Fraction(x)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverting 0")
@@ -94,12 +72,6 @@ class RationalField:
 
     def __repr__(self):
         return "QQ"
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("rationals")
 
 
 QQ = RationalField()
@@ -273,9 +245,6 @@ class Gf2Ops:
 
     def add(self, u, v):
         return u ^ v
-
-    def scale(self, a, v):
-        return v if int(a) % 2 else 0
 
     def is_zero(self, v):
         return v == 0

@@ -180,7 +180,9 @@ class BrooksQuasimorphism(Quasimorphism):
 
 
 class SumQuasimorphism(Quasimorphism):
-    """Pointwise sum of quasimorphisms."""
+    """A sum of quasimorphisms, held as its parts. It has no pointwise
+    value: ``homogenize`` homogenizes it part by part, and
+    ``homogeneous_cocycle`` reads it only that way."""
 
     def __init__(self, parts, name: str | None = None):
         parts = tuple(parts)
@@ -188,13 +190,6 @@ class SumQuasimorphism(Quasimorphism):
             raise ValueError("empty sum")
         super().__init__(name or "+".join(repr(p) for p in parts))
         self.parts = parts
-        self.homogeneous = all(p.homogeneous for p in parts)
-
-    def __call__(self, g):
-        return sum(p(g) for p in self.parts)
-
-    def eval_power(self, g, n):
-        return sum(p.eval_power(g, n) for p in self.parts)
 
 
 def defect_estimate(phi, group, samples: int = 200, seed: int = 0,

@@ -444,7 +444,10 @@ def e_infinity_check(engine: PersistencePairing, n: int) -> dict:
         raise ValueError("degree outside the checkable range")
     cells = []
     total = 0
-    for p in range(engine.filt.level_bound(n) + 1):
+    # a level that no coordinate of degree n has adds nothing, so above
+    # min(n, top level) only the levels of degree n are listed
+    least = min(n, engine.filt.level_bound(n))
+    for p in sorted(set(range(least + 1)).union(engine.filt.levels[n])):
         d = engine.e_infinity_dim(p, n - p)
         cells.append({"p": p, "dim": d})
         total += d
@@ -777,15 +780,19 @@ def sequence_report(cx: FiniteComplex, filt: Filtration,
                     max_r: int = DEFAULT_MAX_R) -> dict:
     """Deterministic summary: page dimension tables, differential ranks,
     page-homology consistency, and the stable-page/homology comparison.
-    Total degree n lists the cells p = 0..max(n, level_bound(n)), so a
-    filtration level above its degree shows its q < 0 cells too."""
+    Total degree n lists the cells p = 0..n and the levels of degree n
+    above n, so a filtration level above its degree shows its q < 0
+    cell too. The levels between that no coordinate of degree n has are
+    left out: such a cell is zero on every page and has no d_r."""
     engine = PersistencePairing(cx, filt)
     window = min(window, cx.max_degree - 1)
+    ps = [sorted(set(range(n + 1)).union(filt.levels[n]))
+          for n in range(window + 1)]
     pages = []
     for r in range(max_r + 1):
         cells = []
         for n in range(window + 1):
-            for p in range(max(n, filt.level_bound(n)) + 1):
+            for p in ps[n]:
                 q = n - p
                 entry = {"p": p, "q": q, "dim": engine.dim(r, p, q)}
                 if n <= cx.max_degree - 2:
@@ -795,7 +802,7 @@ def sequence_report(cx: FiniteComplex, filt: Filtration,
     consistency = []
     for r in range(max_r):
         for n in range(min(window, cx.max_degree - 2) + 1):
-            for p in range(max(n, filt.level_bound(n)) + 1):
+            for p in ps[n]:
                 q = n - p
                 kept = (engine.dim(r, p, q) - engine.d_rank(r, p, q)
                         - engine.d_rank(r, p - r, q + r - 1))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -144,6 +148,7 @@ def test_verify_exit_code_tracks_failures(capsys):
 
 def test_verify_out_file_matches_stdout(tmp_path, capsys):
     target = tmp_path / "report.json"
+    target.write_text("x" * 100_000)  # longer than the report it becomes
     rc, out, _ = run(capsys, "verify", "--suite", "chains", "--seed", "1",
                      "--out", str(target))
     assert rc == 0
@@ -176,6 +181,20 @@ def test_verify_passes_an_io_error_of_the_run_through(tmp_path, capsys,
     with pytest.raises(OSError, match="a read inside the run failed"):
         main(["verify", "--suite", "qm", "--out", str(tmp_path / "r.json")])
     assert "cannot write" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--fixture", "nope"],
+    ["--samples", "0"],
+    # the extension identities refuse a finite fiber partway through
+    ["--fixture", "z4-hs"],
+])
+def test_verify_usage_error_keeps_the_out_file(tmp_path, capsys, argv):
+    target = tmp_path / "report.json"
+    target.write_text("old report\n")
+    rc, _, err = run(capsys, "verify", *argv, "--out", str(target))
+    assert rc == 2 and err.startswith("qmcoh: ")
+    assert target.read_text() == "old report\n"
 
 
 def test_verify_list_shows_every_identity(capsys):
@@ -226,6 +245,26 @@ def test_ss_takes_a_level_above_its_degree(tmp_path, capsys):
     # (0, 0) lands, is listed with the others
     assert "page r=2: E[0,0]=1 d>1  E[0,1]=0  E[1,0]=0  E[2,-1]=1\n" in out
     assert "page r=3: E[0,0]=0  E[0,1]=0  E[1,0]=0  E[2,-1]=0\n" in out
+
+
+def test_ss_skips_the_empty_levels_above_a_degree(tmp_path):
+    # degree 0 has one coordinate, at level 10^12: only that level is
+    # listed above the degree, not the 10^12 empty levels below it
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({
+        "field": "F2", "dims": [1, 1], "columns": [[[]]],
+        "levels": [[10**12], [0]]}))
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(qmcoh.cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "qmcoh.cli", "ss", str(path)],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    assert lines[1:6] == [
+        f"page r={r}: E[0,0]=0  E[{10**12},{-10**12}]=1" for r in range(5)]
+    assert lines[6:] == ["consistency: ok",
+                         "degree 0: E_inf total 1, homology 1, ok",
+                         "converged: yes"]
 
 
 def test_ss_random_round_trips_through_json(tmp_path, capsys):

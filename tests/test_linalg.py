@@ -18,7 +18,9 @@ def vecs(ops, rows):
 
 # ------------------------------------------- dense reference backend
 # The generic-field backend as it was before it became sparse: tuple
-# vectors and one field-method call per entry. It speaks the same
+# vectors, with each entry's arithmetic done on plain ints or Fractions
+# and brought back into the field by ``field.of``, so the reference
+# borrows no arithmetic from the package. It speaks the same
 # coefficient protocol: combos come out, and ``combine`` takes them, as
 # canonical {index: nonzero} dicts. The sparse FieldOps must give the
 # same answers.
@@ -50,9 +52,9 @@ class DenseEchelon:
             c = v[i]
             vec, vcombo = hit
             for j in range(i, n):
-                v[j] = F.sub(v[j], F.mul(c, vec[j]))
+                v[j] = F.of(v[j] - c * vec[j])
             for k, a in vcombo.items():
-                combo[k] = F.add(combo.get(k, F.zero), F.mul(c, a))
+                combo[k] = F.of(combo.get(k, F.zero) + c * a)
             i += 1
         return v, combo, i
 
@@ -69,9 +71,8 @@ class DenseEchelon:
         if lead >= len(res):
             return False
         inv = F.inv(res[lead])
-        vec = [F.mul(inv, x) for x in res]
-        combo = {k: F.sub(F.zero, F.mul(inv, a))
-                 for k, a in combo.items()}
+        vec = [F.of(inv * x) for x in res]
+        combo = {k: F.of(-inv * a) for k, a in combo.items()}
         combo[mine] = inv
         self.rows[lead] = (vec, combo)
         return True
@@ -105,7 +106,7 @@ class DenseOps:
         F = self.field
         for k, a in coeffs.items():
             for i, x in enumerate(vectors[k]):
-                acc[i] = F.add(acc[i], F.mul(a, x))
+                acc[i] = F.of(acc[i] + a * x)
         return tuple(acc)
 
     def mask(self, indices):
@@ -129,7 +130,7 @@ def dense_matmul(field, a_cols, b_cols, height: int):
             if coeff == field.zero:
                 continue
             for i, x in enumerate(acol):
-                acc[i] = field.add(acc[i], field.mul(field.of(coeff), x))
+                acc[i] = field.of(acc[i] + field.of(coeff) * x)
         out.append(acc)
     return out
 
