@@ -70,12 +70,16 @@ def _out_writer(path: str | None):
     file, or None when no path is given. The file is opened here, before
     the work that fills it, and without truncating it: a path that
     cannot be written fails before any work runs, and a run that fails
-    leaves the old contents. An I/O error opening or writing the file is
-    a usage error."""
+    leaves the old contents. A file this probe creates is removed again,
+    so a run that fails leaves no new file either. An I/O error opening
+    or writing the file is a usage error."""
     if not path:
         return None
     try:
+        existed = Path(path).exists()
         open(path, "a").close()
+        if not existed:
+            Path(path).unlink()
     except OSError as ex:
         raise _cannot_write(path, ex) from ex
 

@@ -34,11 +34,12 @@ trivial one-dimensional coefficients: horizontal cochains on the
 quotient, vertical cochains built from orbit functions on tuples over
 the ambient group. The fiber acts freely, so each orbit is read off
 its first entry in closed form; tuples are base-|Gamma| codes, so the
-orbit and action tables are digit arithmetic. A column is two stencils,
-one per quotient tuple and one per fiber orbit, each summed over the
-integers and reduced into the field once, shifted into place and added,
-plus one unit entry per non-identity quotient element. Its vertical
-(column) filtration gives block (p, q) level p.
+action table and the faces of each orbit are digit arithmetic. The
+faces are computed one orbit at a time, never tabulated. A column is
+two stencils, one per quotient tuple and one per fiber orbit, each
+summed over the integers and reduced into the field once, shifted into
+place and added, plus one unit entry per non-identity quotient element.
+Its vertical (column) filtration gives block (p, q) level p.
 """
 
 from __future__ import annotations
@@ -486,24 +487,28 @@ def hs_memory_estimate_mb(ext, field, max_total: int) -> float:
 
 
 def _orbit_tables(ext, max_total: int):
-    """(act, vert) of ``hs_double_complex``, by base-|Gamma| digit
+    """(act, faces) of ``hs_double_complex``, by base-|Gamma| digit
     arithmetic on the 1-based elements of the ambient group.
 
     A t-tuple is the code sum (x_k - 1) |Gamma|^(t - k), so codes ascend
     as the tuples do. The orbit representatives of length t, the tuples
     whose first entry is a coset minimum, are numbered by (minimum,
-    rest) in code order. Each element that moves tuples, a fiber
-    translate of ``least`` or a section image, gets a left-translation
-    table per length, each built from the one below by appending a
-    digit. The orbit of a tuple is then one lookup: translate its rest
-    by the ``least`` element of its first entry. Face i >= 1 of a
-    representative drops a digit and keeps its first entry, so it is a
-    representative already and needs no multiplication.
+    rest) in code order. Each element that moves tuples, a fiber element
+    or a section image, gets a left-translation table per length, each
+    built from the one below by appending a digit. The orbit of a tuple
+    is then one lookup: translate its rest by the fiber element that
+    takes its first entry to its coset minimum.
 
     ``act[q][alpha]`` maps representative i of length q + 1 to the orbit
-    of s(alpha) times it. ``vert[q][o]`` lists (target, omitted slot i)
-    over the representatives of length q + 2 whose face i lies in orbit
-    o, targets ascending, then slots."""
+    of s(alpha) times it, for q < max_total: the lengths a differential
+    of the complex reads. ``faces(q, o)`` lists, for each omitted slot
+    i = 0 .. q + 1, the representatives of length q + 2 whose face i
+    lies in orbit o of (q + 1)-tuples; it is computed for one orbit at
+    a time and never tabulated. Face 0 drops the first entry, so its
+    targets are (any minimum, any of the |G| tuples of the orbit),
+    distinct since the fiber acts freely. Face i >= 1 drops a digit of
+    the rest and keeps the first entry, so its targets put every digit
+    back at that place: |Gamma| of them, evenly spaced."""
     gamma, pi = ext.gamma, ext.pi
     size = gamma.order
     subgroup = [ext.include(x) for x in ext.g.elements()]
@@ -516,12 +521,12 @@ def _orbit_tables(ext, max_total: int):
     pi_elts = tuple(sorted(pi.elements()))
     section = {alpha: ext.section(alpha) for alpha in pi_elts}
 
-    # translate[h][t][code]: the code of h times a t-tuple, t <= max_total
+    # translate[h][t][code]: the code of h times a t-tuple, t < max_total
     translate = {}
-    for h in set(least) | set(section.values()):
+    for h in set(subgroup) | set(section.values()):
         one = [gamma.mul(h, x) - 1 for x in elts]
         tables = [[0]]
-        for _ in range(max_total):
+        for _ in range(max_total - 1):
             tables.append([a * size + b for a in tables[-1] for b in one])
         translate[h] = tables
 
@@ -535,7 +540,7 @@ def _orbit_tables(ext, max_total: int):
 
     # quotient action on orbit bases, one permutation per element
     act = {}
-    for q in range(max_total + 1):
+    for q in range(max_total):
         table = {}
         for alpha in pi_elts:
             s = section[alpha]
@@ -551,28 +556,27 @@ def _orbit_tables(ext, max_total: int):
                         f"quotient action fails to compose at ({a}, {b})")
         act[q] = table
 
-    def dropping(q, j):
-        """The representative index of face j + 1 of each representative
-        of length q + 2: digit j of its rest is dropped."""
-        w = size ** (q - j)
-        return (k * size ** q + hi * w + lo for k in range(len(minima))
-                for hi in range(size ** j) for _ in elts for lo in range(w))
+    # fiber[kk]: (digit of h.m, translation tables of h) for each fiber
+    # element h, m the minimum of index kk
+    fiber = [[(gamma.mul(h, m) - 1, translate[h]) for h in subgroup]
+             for m in minima]
 
-    # vertical differential on orbit functions: column src lists
-    # (target, omitted slot i), of sign (-1)^i
-    vert = {}
-    for q in range(max_total):
+    def faces(q, o):
         below = size ** q
-        # face 0 drops the first entry, leaving a (q + 1)-tuple
-        first = [o for x in elts for o in orbits_of(q + 1, x, range(below))]
-        faces = [first * len(minima)]
-        faces += [dropping(q, j) for j in range(q + 1)]
-        cols = [[] for _ in range(len(minima) * below)]
-        for tgt, targets in enumerate(zip(*faces)):
-            for i, o in enumerate(targets):
-                cols[o].append((tgt, i))
-        vert[q] = cols
-    return act, vert
+        wide = below * size  # representatives of length q + 2 per minimum
+        kk, r = divmod(o, below)
+        # face 0: the tuple h.(minima[kk], rest r) behind any minimum
+        tuples = [d * below + moved[q][r] for d, moved in fiber[kk]]
+        out = [[k * wide + c for k in range(len(minima)) for c in tuples]]
+        # face j + 1: any digit put back at place j of the rest
+        for j in range(q + 1):
+            w = size ** (q - j)
+            hi, lo = divmod(r, w)
+            start = kk * wide + hi * w * size + lo
+            out.append(range(start, start + size * w, w))
+        return out
+
+    return act, faces
 
 
 def hs_double_complex(ext, field=GF2, max_total: int = 5):
@@ -595,9 +599,13 @@ def hs_double_complex(ext, field=GF2, max_total: int = 5):
     element acting on o. The horizontal
     stencil h_a holds the split and drop terms of a and the identity's
     action term, at orbit 0; the vertical stencil v_o holds the faces
-    lying in o with their signs (-1)^(p + i). Each stencil is summed over
-    the integers, signs included, and ``from_sparse`` reduces it into the
-    field once; the stencils live only while their block is built.
+    lying in o with their signs (-1)^(p + i), computed for o alone. Each
+    stencil is summed over the integers, signs included, and
+    ``from_sparse`` reduces it into the field once; the stencils live
+    only while their block is built. So the build holds the stored
+    columns, the action tables and one block's stencils, within 1.25
+    times ``hs_memory_estimate_mb`` (pinned in the tests at F2/6 and
+    F3/5).
     Returns (complex, filtration, layout info).
     """
     gamma, pi, g = ext.gamma, ext.pi, ext.g
@@ -613,9 +621,10 @@ def hs_double_complex(ext, field=GF2, max_total: int = 5):
             f"estimated {est_mb:.0f} MB for the double complex exceeds "
             f"QMCOH_BUDGET_MB={budget}")
 
-    act, vert = _orbit_tables(ext, max_total)
+    act, faces = _orbit_tables(ext, max_total)
     # orbits of (q + 1)-tuples, the width of a block of fiber degree q
-    n_orbits = [len(act[q][pi_elts[0]]) for q in range(max_total + 1)]
+    n_orbits = [gamma.order ** (q + 1) // g.order
+                for q in range(max_total + 1)]
 
     tuples = {p: list(itertools.product(pi_elts, repeat=p))
               for p in range(max_total + 1)}
@@ -677,10 +686,11 @@ def hs_double_complex(ext, field=GF2, max_total: int = 5):
             # the targets whose face i lies in o, with sign (-1)^(p + i)
             sign = [(-1) ** (p + i) for i in range(q + 2)]
             block = [None] * (len(per_tuple) * n_orb)
-            for o, faces in enumerate(vert[q]):
+            for o in range(n_orb):
                 v: dict = {}
-                for tgt, i in faces:
-                    v[tgt] = v.get(tgt, 0) + sign[i]
+                for s_i, targets in zip(sign, faces(q, o)):
+                    for tgt in targets:
+                        v[tgt] = v.get(tgt, 0) + s_i
                 v = ops_next.from_sparse(v)
                 for ta, (h, below, acting) in enumerate(per_tuple):
                     col = add(shift(h, horiz_base + o), shift(v, below))

@@ -183,18 +183,35 @@ def test_verify_passes_an_io_error_of_the_run_through(tmp_path, capsys,
     assert "cannot write" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
+VERIFY_USAGE_ERRORS = [
     ["--fixture", "nope"],
     ["--samples", "0"],
     # the extension identities refuse a finite fiber partway through
     ["--fixture", "z4-hs"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", VERIFY_USAGE_ERRORS)
 def test_verify_usage_error_keeps_the_out_file(tmp_path, capsys, argv):
     target = tmp_path / "report.json"
     target.write_text("old report\n")
     rc, _, err = run(capsys, "verify", *argv, "--out", str(target))
     assert rc == 2 and err.startswith("qmcoh: ")
     assert target.read_text() == "old report\n"
+
+
+@pytest.mark.parametrize("argv", VERIFY_USAGE_ERRORS)
+def test_verify_usage_error_leaves_no_new_out_file(tmp_path, capsys, argv):
+    target = tmp_path / "report.json"
+    rc, _, err = run(capsys, "verify", *argv, "--out", str(target))
+    assert rc == 2 and err.startswith("qmcoh: ")
+    assert not target.exists()
+
+
+def test_verify_out_to_dev_null_runs(capsys):
+    rc, out, _ = run(capsys, "verify", "--suite", "qm", "--samples", "1",
+                     "--out", os.devnull)
+    assert rc == 0 and json.loads(out)["passed"]
 
 
 def test_verify_list_shows_every_identity(capsys):

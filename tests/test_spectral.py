@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -322,6 +323,21 @@ def test_budget_estimate_follows_what_the_backend_stores(monkeypatch):
             <= memory_budget_mb() == DEFAULT_BUDGET_MB
 
 
+@pytest.mark.parametrize("name, max_total", [("F2", 6), ("F3", 5)])
+def test_the_build_stays_within_its_memory_estimate(name, max_total):
+    # the estimate counts the stored columns; the working set of the
+    # build on top of them (action tables, one orbit's faces, one
+    # block's stencils) must stay within a quarter of it
+    ext, field = z4_extension(), FIELDS[name]
+    tracemalloc.start()
+    try:
+        hs_double_complex(ext, field=field, max_total=max_total)
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * hs_memory_estimate_mb(ext, field, max_total)
+
+
 def test_random_filtered_complexes_converge():
     widest = 0
     for seed in range(25):
@@ -593,8 +609,9 @@ def test_the_report_never_reaches_the_lattice(monkeypatch):
 
 
 def _tuple_orbit_tables(ext, max_total):
-    """The builder's act and vert tables as they were computed before
-    digit arithmetic: each tuple is translated entry by entry with
+    """The builder's act table, and its faces tabulated as ``vert[q][o]``
+    (target, omitted slot) lists, as they were computed before digit
+    arithmetic: each tuple is translated entry by entry with
     ``gamma.mul`` and looked up by its least translate."""
     gamma, pi = ext.gamma, ext.pi
     subgroup = [ext.include(x) for x in ext.g.elements()]
@@ -629,19 +646,28 @@ def _tuple_orbit_tables(ext, max_total):
 @pytest.mark.parametrize("ext, max_total", [
     ("z4-hs", 6), ("a3-s3", 4), ("z3-z6", 4), ("z2-z6", 4)])
 def test_orbit_tables_match_the_tuple_translation(ext, max_total):
-    # entry order included: the columns are summed in this order
+    # act entry for entry; the faces of each orbit as a multiset, since
+    # the builder sums them into one stencil
     extension = z4_extension() if ext == "z4-hs" else EXTENSIONS[ext]()
-    assert _orbit_tables(extension, max_total) \
-        == _tuple_orbit_tables(extension, max_total)
+    act, faces = _orbit_tables(extension, max_total)
+    want_act, vert = _tuple_orbit_tables(extension, max_total)
+    assert act == {q: want_act[q] for q in range(max_total)}
+    for q, cols in vert.items():
+        for o, want in enumerate(cols):
+            got = [(tgt, i) for i, targets in enumerate(faces(q, o))
+                   for tgt in targets]
+            assert sorted(got) == sorted(want), (q, o)
 
 
 def _entrywise_columns(ext, field, max_total):
     """The differentials of ``hs_double_complex`` as they were computed
     before stencils: every entry of every column is summed on its own,
-    and each column is reduced into the field when it is complete."""
+    and each column is reduced into the field when it is complete. The
+    orbits and faces come from ``_tuple_orbit_tables``, so no face
+    arithmetic is shared with the builder."""
     pi = ext.pi
     pi_elts = tuple(sorted(pi.elements()))
-    act, vert = _orbit_tables(ext, max_total)
+    act, vert = _tuple_orbit_tables(ext, max_total)
     n_orbits = [len(act[q][pi_elts[0]]) for q in range(max_total + 1)]
     tuples = {p: list(itertools.product(pi_elts, repeat=p))
               for p in range(max_total + 1)}
