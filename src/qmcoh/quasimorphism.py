@@ -14,10 +14,12 @@ Counting is done on the one-character-per-letter string encoding (see
 counts on powers u . c^k . u^-1 are affine in k once c^k is longer than
 the counted word, so ``BrooksQuasimorphism.eval_power`` scans two short
 strings per base and extrapolates exactly; it never materializes c^k
-for large k. That line is read off a string by
-``BrooksQuasimorphism.line`` and cached per word by ``_power_line``; a
-caller that already holds the string of a long word, such as one built
-by ``words.power_chars``, reads the line off it directly, uncached.
+for large k. That line is read off the split (c, u) of the base, as
+strings, by ``BrooksQuasimorphism.line``, and cached per word by
+``_power_line``, which splits the word itself. A caller that already
+holds the split of a long word, such as the split of g^(2^16) that
+``words.power_chars`` reads off g's, hands it to ``line`` directly,
+uncached, so the long string is never split or reduced.
 """
 
 from __future__ import annotations
@@ -95,16 +97,15 @@ class BrooksQuasimorphism(Quasimorphism):
     def __call__(self, g):
         return self.eval_string(words.chars(g))
 
-    def line(self, s: str) -> tuple:
+    def line(self, cc: str, uc: str) -> tuple:
         """(k0, phi(base^k0), slope, core, conj, conj^-1) for the base
-        whose ``chars`` encoding is s, the last three as character
-        strings; see ``eval_power``. Nothing is cached.
+        uc + cc + uc^-1, all strings in the ``chars`` encoding; see
+        ``eval_power``. Nothing is cached.
 
-        The string is split by ``words.cyclic_chars``, which reduces it
-        only if it holds an inverse pair. A long reduced string, such as
-        the string of g^(2^16), never runs a letter-by-letter loop.
+        Precondition, not checked: cc is cyclically reduced and
+        uc + cc + uc^-1 is reduced, as for a split made by
+        ``words.cyclic_chars`` or ``words.power_chars``.
         """
-        cc, uc = words.cyclic_chars(s)
         ui = _inv_chars(uc)
         if not cc:  # the identity: phi = 0 on every power
             return (1, 0, 0, cc, uc, ui)
@@ -115,11 +116,13 @@ class BrooksQuasimorphism(Quasimorphism):
         return (k0, f0, slope, cc, uc, ui)
 
     def _power_line(self, base: Word) -> tuple:
-        """``line`` of the word base, encoded once by ``words.chars`` and
+        """``line`` of the word base, encoded once by ``words.chars``,
+        split (and reduced, if it is not) by ``words.cyclic_chars``, and
         cached per word."""
         line = self._cyclic.get(base)
         if line is None:
-            line = self._cyclic[base] = self.line(words.chars(base))
+            line = self._cyclic[base] = self.line(
+                *words.cyclic_chars(words.chars(base)))
         return line
 
     def eval_power(self, g: Word, n: int) -> int:

@@ -162,14 +162,15 @@ class Filtration:
                                  f" not a non-negative integer")
         # F^p is spanned by coordinates of level >= p, so d keeps every
         # level exactly when each column stays in its own source level;
-        # the mask of a level is fetched once per run of its columns
+        # the mask of a level is built once per run of its columns and
+        # not cached: the lattice asks for few of these masks
         for n, cols in enumerate(cx.diffs):
             ops = cx.ops[n + 1]
             outside, is_zero = ops.outside, ops.is_zero
             level = mask = None
             for col, p in zip(cols, self.levels[n]):
                 if p != level:
-                    level, mask = p, self.mask_at(p, n + 1)
+                    level, mask = p, self._mask(p, n + 1)
                 if not is_zero(outside(col, mask)):
                     raise InvariantViolation(f"d leaves F^{p} at degree {n}")
 
@@ -189,13 +190,16 @@ class Filtration:
         return [ops.basis_vector(i) for i in self.coordinates(p, n)]
 
     def mask_at(self, p: int, n: int):
-        """Coordinate support of F^p K^n."""
+        """Coordinate support of F^p K^n, cached."""
         key = (p, n)
         if key not in self._masks:
-            # the coordinates are fed one at a time, never held as a list
-            self._masks[key] = self.cx.ops[n].mask(
-                i for i, lv in enumerate(self.levels[n]) if lv >= p)
+            self._masks[key] = self._mask(p, n)
         return self._masks[key]
+
+    def _mask(self, p: int, n: int):
+        # the coordinates are fed one at a time, never held as a list
+        return self.cx.ops[n].mask(
+            i for i, lv in enumerate(self.levels[n]) if lv >= p)
 
 
 class SpectralSequence:

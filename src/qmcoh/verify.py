@@ -310,9 +310,11 @@ def _duality_defect_bound(ctx, rng):
 
     def b(g):
         # phi-bar(x) - phi(x) at x = g^P, both scanned in full on the
-        # string of x (up to 2^19 letters), built once from g's split
-        s = words.power_chars(g, P)
-        _k0, _f0, slope, *_ = phi.line(s)
+        # string of x (up to 2^19 letters); x's split is read off g's,
+        # so that string is assembled but never split or reduced
+        core, conj = words.power_chars(g, P)
+        _k0, _f0, slope, *_, conj_inv = phi.line(core, conj)
+        s = conj + core + conj_inv
         return Fraction(slope) - Fraction(phi.eval_string(s))
 
     for _ in range(ctx.samples):

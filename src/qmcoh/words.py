@@ -16,8 +16,10 @@ generators, uppercase for inverses), which makes occurrence counting of
 subwords a plain substring scan. In that encoding the inverse of a
 letter is its ``swapcase``, so ``cyclic_chars`` takes such a string,
 tests its reducedness and splits off the conjugator with string
-operations alone, and ``power_chars`` builds the string of a power by
-string repetition, without the tuple of ``power``.
+operations alone. ``power_chars`` gives the split of a power w^n
+straight from the split of w, by string repetition: the string of w^n
+is never scanned, reduced or split, and the tuple of ``power`` is never
+made.
 """
 
 from __future__ import annotations
@@ -285,18 +287,23 @@ def cyclic_chars(s: str) -> tuple[str, str]:
     return s[lo:hi], s[:lo]
 
 
-def power_chars(w: Word, n: int) -> str:
-    """``chars(power(w, n))``, built as conj + core * n + conj^-1 from
-    the split of w by string repetition, so the tuple of w^n is never
-    made. Exponents beyond +-POWER_CAP are refused, as by ``power``.
+def power_chars(w: Word, n: int) -> tuple[str, str]:
+    """The split (core, conj) of w^n on the ``chars`` encoding, equal to
+    ``cyclic_chars(chars(power(w, n)))``.
+
+    With w = conj . c . conj^-1 and c cyclically reduced, w^n is
+    conj . c^n . conj^-1, reduced as it stands, and c^n is cyclically
+    reduced; negative n use c^-1. So the core is the string of c
+    repeated |n| times and the conjugator is w's own: only w is split.
+    Exponents beyond +-POWER_CAP are refused, as by ``power``.
     """
     _check_exponent(n)
     if n == 0:
-        return ""
+        return "", ""
     core, conj = cyclic_chars(chars(w))
     if n < 0:
         core, n = core.swapcase()[::-1], -n
-    return conj + core * n + conj.swapcase()[::-1]
+    return core * n, conj
 
 
 def random_reduced(rng: random.Random, rank: int, length: int) -> Word:

@@ -127,23 +127,31 @@ def test_power_line_rejects_letters_without_a_name(base):
         phi.eval_power(base, 3)
 
 
-def test_long_reduced_power_never_runs_the_reduce_loop(monkeypatch):
+def test_long_power_line_runs_no_letter_loop(monkeypatch):
     g = p("baaba'b'")  # (ba) . ab . (ba)^-1
-    s = words.power_chars(g, 2**16)
     x = words.power(g, 2**16)
     phi = BrooksQuasimorphism(p("ab"))
+    cyclic_chars = words.cyclic_chars
 
     def refuse(letters):
         raise AssertionError("a letter loop ran on a reduced word")
 
+    def short_only(s):
+        assert len(s) <= 16, f"cyclic_chars split {len(s)} letters"
+        return cyclic_chars(s)
+
     # parse is where an unreduced string would go, and reduce is the
-    # loop behind it
+    # loop behind it: a long reduced word is split without either
     monkeypatch.setattr(words, "reduce", refuse)
     monkeypatch.setattr(words, "parse", refuse)
-    k0, f0, slope, core, conj, conj_inv = phi.line(s)
+    assert homogenize(phi, x) == 2**16
+    # the line of a long power is read off the split of its base, so
+    # its string is not even split
+    monkeypatch.setattr(words, "cyclic_chars", short_only)
+    k0, f0, slope, core, conj, conj_inv = phi.line(
+        *words.power_chars(g, 2**16))
     assert (core, conj, conj_inv) == ("ab" * 2**16, "ba", "AB")
     assert slope == 2**16
-    assert homogenize(phi, x) == 2**16
 
 
 def test_homogenize_oracles():

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -336,6 +337,24 @@ def test_the_build_stays_within_its_memory_estimate(name, max_total):
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * hs_memory_estimate_mb(ext, field, max_total)
+
+
+def test_the_built_complex_retains_no_validation_masks():
+    # what stays held once z4-hs F3/5 is built: the complex and its
+    # filtration take 1.36 MB; the masks that the filtration check
+    # builds are dropped, not cached (they would add 0.66 MB)
+    ext = z4_extension()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        built = hs_double_complex(ext, field=FIELDS["F3"], max_total=5)
+        gc.collect()
+        held = (tracemalloc.get_traced_memory()[0] - before) / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert built[1]._masks == {}
+    assert held <= 1.5
 
 
 def test_random_filtered_complexes_converge():

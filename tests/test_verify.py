@@ -119,10 +119,31 @@ def test_duality_defect_bound_drops_each_long_power():
     assert peak < 20 * 2**20
 
 
+def test_chains_suite_splits_and_reduces_no_long_string(monkeypatch):
+    # duality-defect-bound scans the strings of g^P, (gh)^P and h^P with
+    # P = 2^16, up to 2^19 letters each. Their splits come from
+    # words.power_chars, read off the splits of g, gh and h, so nothing
+    # longer than a sample word is ever split, reduced or parsed
+    def short_only(fn):
+        def wrapped(x):
+            if not isinstance(x, str):
+                x = tuple(x)  # reduce takes any iterable of letters
+            assert len(x) <= 16, f"{fn.__name__} ran on {len(x)} letters"
+            return fn(x)
+        return wrapped
+
+    for name in ("cyclic_chars", "reduce", "parse"):
+        monkeypatch.setattr(words, name, short_only(getattr(words, name)))
+    report = run_suite("chains", cutoff=16)
+    assert report["passed"]
+    checked = {e["id"]: e["checked"] for e in report["identities"]}
+    assert checked["duality-defect-bound"] == 12
+
+
 def test_duality_defect_bound_builds_no_long_tuple(monkeypatch):
-    # its long powers exist only as strings made by words.power_chars:
-    # no power tuple and no re-encoding of one, while the identity
-    # still holds on every sample
+    # its long powers exist only as strings assembled from the split
+    # that words.power_chars returns: no power tuple and no re-encoding
+    # of one, while the identity still holds on every sample
     power, chars = words.power, words.chars
 
     def short_power(w, n):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from qmcoh import words
 from qmcoh.errors import ResourceCapExceeded
+from qmcoh.quasimorphism import BrooksQuasimorphism
 from qmcoh.words import (
     chars,
     cyclic_chars,
@@ -209,9 +210,20 @@ def conjugated(ws):
     return st.builds(lambda u, c: mul(u, c, inv(u)), ws, ws)
 
 
-@given(reduced_words | conjugated(reduced_words), st.integers(-40, 40))
-def test_power_chars_is_the_string_of_power(w, n):
-    assert power_chars(w, n) == chars(power(w, n))
+@given(reduced_words | conjugated(reduced_words), st.integers(-40, 40),
+       st.lists(letters, min_size=1, max_size=5).map(reduce).filter(bool),
+       st.integers(1, 3))
+def test_power_chars_is_the_split_of_power(w, n, counted, extra):
+    core, conj = power_chars(w, n)
+    x = chars(power(w, n))
+    assert (core, conj) == cyclic_chars(x)
+    conj_inv = conj.swapcase()[::-1]
+    assert conj + core + conj_inv == x
+    phi = BrooksQuasimorphism(counted)
+    assert phi.line(core, conj) == phi.line(*cyclic_chars(x))
+    for sign in (1, -1):
+        with pytest.raises(ResourceCapExceeded):
+            power_chars(w, sign * (words.POWER_CAP + extra))
 
 
 short_words = st.lists(letters, max_size=6).map(reduce)
@@ -221,6 +233,6 @@ short_words = st.lists(letters, max_size=6).map(reduce)
 @settings(max_examples=20)
 def test_power_chars_at_the_cap(w, sign):
     n = sign * words.POWER_CAP
-    assert power_chars(w, n) == chars(power(w, n))
+    assert power_chars(w, n) == cyclic_chars(chars(power(w, n)))
     with pytest.raises(ResourceCapExceeded):
         power_chars(w, n + sign)
