@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -262,18 +263,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except CliError as ex:
-        print(f"qmcoh: {ex}", file=sys.stderr)
-        return 2
-    except ResourceCapExceeded as ex:
-        print(f"qmcoh: resource cap hit: {ex}", file=sys.stderr)
-        return 2
-    except ValueError as ex:
-        print(f"qmcoh: {ex}", file=sys.stderr)
-        return 2
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        except CliError as ex:
+            print(f"qmcoh: {ex}", file=sys.stderr)
+            return 2
+        except ResourceCapExceeded as ex:
+            print(f"qmcoh: resource cap hit: {ex}", file=sys.stderr)
+            return 2
+        except ValueError as ex:
+            print(f"qmcoh: {ex}", file=sys.stderr)
+            return 2
+        finally:
+            # a reader that has closed the pipe shows here, not at exit
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the rest of the output has no reader: send it to devnull, so
+        # the flush at exit raises nothing either (the "Note on SIGPIPE"
+        # of Python's signal docs), and exit with 141, the status a
+        # shell reports for a process that SIGPIPE ends
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -19,7 +19,10 @@ strings, by ``BrooksQuasimorphism.line``, and cached per word by
 ``_power_line``, which splits the word itself. A caller that already
 holds the split of a long word, such as the split of g^(2^16) that
 ``words.power_chars`` reads off g's, hands it to ``line`` directly,
-uncached, so the long string is never split or reduced.
+uncached, so the long string is never split or reduced. ``line`` reads
+both phi(base) and the slope off one scan of a core at least |w| - 1
+letters long, plus scans of the few letters around its two ends, so a
+long core is scanned once and never joined to its conjugators.
 """
 
 from __future__ import annotations
@@ -105,15 +108,43 @@ class BrooksQuasimorphism(Quasimorphism):
         Precondition, not checked: cc is cyclically reduced and
         uc + cc + uc^-1 is reduced, as for a split made by
         ``words.cyclic_chars`` or ``words.power_chars``.
+
+        When k0 = 1 (|cc| >= span = L - 1, L = |w|), cc is scanned once
+        and both values are read off that scan, mid = E(cc), plus scans
+        of the junctions head = cc[:span] and tail = the last span
+        letters of cc:
+
+            f0 = mid + E(uc + head) + E(tail + ui),
+            slope = mid + E(tail + head).
+
+        Proof. Sort the length-L windows of uc + cc + ui. A window that
+        meets uc ends within the first L - 1 letters after it, so it
+        lies in uc + head; a window that meets ui but not uc lies in
+        tail + ui, by the mirror argument. No window meets both, since
+        that takes |cc| + 2 > L letters. The rest lie inside cc, and
+        are counted by mid. Conversely every window of uc + head meets
+        uc, and every one of tail + ui meets ui, because head and tail
+        are shorter than L and hold no window by themselves. The slope
+        counts the windows at offsets 0 .. |cc| - 1 of cc + head
+        (``eval_power``): those inside cc, counted by mid, and those
+        that cross into head, which are exactly the windows of
+        tail + head. Cores with k0 > 1 are shorter than L - 1, and
+        their two strings are scanned directly.
         """
         ui = _inv_chars(uc)
         if not cc:  # the identity: phi = 0 on every power
             return (1, 0, 0, cc, uc, ui)
         span = len(self._w) - 1
-        k0 = max(1, -(-span // len(cc)))
-        f0 = self.eval_string(uc + cc * k0 + ui)
-        slope = self.eval_string((cc * (k0 + 1))[:len(cc) + span])
-        return (k0, f0, slope, cc, uc, ui)
+        if len(cc) < span:
+            k0 = -(-span // len(cc))
+            f0 = self.eval_string(uc + cc * k0 + ui)
+            slope = self.eval_string((cc * (k0 + 1))[:len(cc) + span])
+            return (k0, f0, slope, cc, uc, ui)
+        mid = self.eval_string(cc)
+        head, tail = cc[:span], cc[len(cc) - span:]
+        f0 = mid + self.eval_string(uc + head) + self.eval_string(tail + ui)
+        slope = mid + self.eval_string(tail + head)
+        return (1, f0, slope, cc, uc, ui)
 
     def _power_line(self, base: Word) -> tuple:
         """``line`` of the word base, encoded once by ``words.chars``,

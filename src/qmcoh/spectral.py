@@ -161,16 +161,21 @@ class Filtration:
                 raise ValueError(f"degree {n} level entry {i}: {x!r} is"
                                  f" not a non-negative integer")
         # F^p is spanned by coordinates of level >= p, so d keeps every
-        # level exactly when each column stays in its own source level;
-        # the mask of a level is built once per run of its columns and
-        # not cached: the lattice asks for few of these masks
+        # level exactly when each column stays in its own source level.
+        # F^0 is everything, as levels are counts, so level 0 needs no
+        # check. The target degree's runs of equal levels are read once;
+        # the mask of a level is built from them once per run of its
+        # columns and not cached: the lattice asks for few of these masks
         for n, cols in enumerate(cx.diffs):
             ops = cx.ops[n + 1]
             outside, is_zero = ops.outside, ops.is_zero
+            runs = self._runs(n + 1)
             level = mask = None
             for col, p in zip(cols, self.levels[n]):
+                if not p:
+                    continue
                 if p != level:
-                    level, mask = p, self._mask(p, n + 1)
+                    level, mask = p, self._mask(p, n + 1, runs)
                 if not is_zero(outside(col, mask)):
                     raise InvariantViolation(f"d leaves F^{p} at degree {n}")
 
@@ -193,13 +198,24 @@ class Filtration:
         """Coordinate support of F^p K^n, cached."""
         key = (p, n)
         if key not in self._masks:
-            self._masks[key] = self._mask(p, n)
+            self._masks[key] = self._mask(p, n, self._runs(n))
         return self._masks[key]
 
-    def _mask(self, p: int, n: int):
-        # the coordinates are fed one at a time, never held as a list
-        return self.cx.ops[n].mask(
-            i for i, lv in enumerate(self.levels[n]) if lv >= p)
+    def _runs(self, n: int):
+        """(level, coordinates) for each run of equal levels in degree
+        n, the coordinates as a range."""
+        runs, i = [], 0
+        for lv, run in itertools.groupby(self.levels[n]):
+            k = sum(1 for _ in run)  # a run is counted, never held
+            runs.append((lv, range(i, i + k)))
+            i += k
+        return runs
+
+    def _mask(self, p: int, n: int, runs):
+        # read off the runs of equal levels of degree n (``_runs``); the
+        # coordinates are fed one at a time, never held as a list
+        return self.cx.ops[n].mask(itertools.chain.from_iterable(
+            r for lv, r in runs if lv >= p))
 
 
 class SpectralSequence:

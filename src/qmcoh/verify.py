@@ -309,13 +309,13 @@ def _duality_defect_bound(ctx, rng):
     P = 2 ** N
 
     def b(g):
-        # phi-bar(x) - phi(x) at x = g^P, both scanned in full on the
-        # string of x (up to 2^19 letters); x's split is read off g's,
-        # so that string is assembled but never split or reduced
-        core, conj = words.power_chars(g, P)
-        _k0, _f0, slope, *_, conj_inv = phi.line(core, conj)
-        s = conj + core + conj_inv
-        return Fraction(slope) - Fraction(phi.eval_string(s))
+        # phi-bar(x) - phi(x) at x = g^P, both read off one full scan of
+        # x's core (up to 2^19 letters) and short scans of its junctions
+        # (``line`` with k0 = 1, as |core| >= P >= 2 > |ab| - 1); every
+        # letter of x is scanned, and x's split is read off g's, so the
+        # string of x is never assembled, split or reduced
+        _k0, f0, slope, *_ = phi.line(*words.power_chars(g, P))
+        return Fraction(slope) - Fraction(f0)
 
     for _ in range(ctx.samples):
         g = F2.random_element(rng, 4)

@@ -284,6 +284,25 @@ def test_ss_skips_the_empty_levels_above_a_degree(tmp_path):
                          "converged: yes"]
 
 
+@pytest.mark.parametrize("argv", [["verify", "--list"], ["ss", "z4-hs"]])
+def test_a_reader_that_closed_the_pipe_gets_no_traceback(argv):
+    # standard output is a pipe whose read end is closed before the
+    # first write: the output is dropped, with no traceback and the
+    # status a shell gives a process that SIGPIPE ends
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(qmcoh.cli.__file__).parents[1])}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qmcoh", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 141
+
+
 def test_ss_random_round_trips_through_json(tmp_path, capsys):
     saved = tmp_path / "complex.json"
     rc, out1, _ = run(capsys, "ss", "random", "--seed", "11",

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qmcoh import words
 from qmcoh.errors import NotACocycle
@@ -125,6 +125,35 @@ def test_power_line_rejects_letters_without_a_name(base):
         homogenize(phi, base)
     with pytest.raises(ValueError):
         phi.eval_power(base, 3)
+
+
+# counted words with borders, whose occurrences overlap one another
+# across the ends of a core
+bordered_words = st.sampled_from(["aa", "aba", "abab", "aBaB"]).map(p)
+
+
+@given(bordered_words | long_brooks_words,
+       conjugated_words | short_cores | small_words,
+       st.integers(min_value=-12, max_value=12))
+@example(p("b'" * 11), p("a"), 3)  # k0 = 10
+@example(p("aBaB"), p("baBaB"), 1)  # k0 = 1, |core| = |w| - 1 = 3
+@example(p("a"), p("ba'b'"), 1)  # |w| = 1: empty head and tail
+@settings(max_examples=300)
+def test_line_is_the_scan_of_its_two_strings(w, g, n):
+    # with k0 = 1, line reads f0 and the slope off one scan of the core
+    # and scans of its ends; with k0 > 1 it scans the two strings. Either
+    # way they are the counts on the base string and on the slope window
+    phi = BrooksQuasimorphism(w)
+    cc, uc = words.power_chars(g, n)
+    k0, f0, slope, core, conj, conj_inv = phi.line(cc, uc)
+    assert (core, conj) == (cc, uc)
+    if not cc:
+        assert (k0, f0, slope) == (1, 0, 0)
+        return
+    span = len(w) - 1
+    assert k0 == max(1, -(-span // len(cc)))
+    assert f0 == phi.eval_string(uc + cc * k0 + conj_inv)
+    assert slope == phi.eval_string((cc * (k0 + 1))[:len(cc) + span])
 
 
 def test_long_power_line_runs_no_letter_loop(monkeypatch):

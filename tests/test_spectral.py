@@ -754,15 +754,15 @@ def test_stencil_columns_match_the_entrywise_sum(ext, name, max_total):
             assert a == b, (n, j)
 
 
-def _with_moved_entry(cx, filt, n, p):
+def _with_moved_entry(cx, filt, n, p, i):
     """A copy of cx whose first column of level p in degree n has its
-    first nonzero entry moved to the first coordinate of level p - 1 of
-    degree n + 1; no other column changes."""
+    first nonzero entry moved to coordinate i of degree n + 1; no other
+    column changes."""
     ops = cx.ops[n + 1]
     j = filt.levels[n].index(p)
     entries = ops.entries(cx.diffs[n][j])
     x = entries.pop(min(entries))
-    entries[filt.levels[n + 1].index(p - 1)] = x
+    entries[i] = x
     broken = FiniteComplex(cx.field, cx.dims, cx.diffs)
     # set after the d.d check, which the moved column would fail; only
     # the filtration check is wanted
@@ -770,17 +770,42 @@ def _with_moved_entry(cx, filt, n, p):
     return broken
 
 
+def _interleaved(cx, filt):
+    """cx and its levels in the basis that lists the even coordinates of
+    each degree before the odd ones, so that no degree's levels are
+    sorted and each level occurs in two runs."""
+    order = [sorted(range(d), key=lambda i: (i % 2, i)) for d in cx.dims]
+    pos = [{i: k for k, i in enumerate(o)} for o in order]
+    diffs = []
+    for n, cols in enumerate(cx.diffs):
+        ops = cx.ops[n + 1]
+        diffs.append([
+            ops.from_sparse({pos[n + 1][i]: x
+                             for i, x in ops.entries(cols[j]).items()})
+            for j in order[n]])
+    levels = [[lv[i] for i in o] for lv, o in zip(filt.levels, order)]
+    return FiniteComplex(cx.field, cx.dims, diffs), levels
+
+
 @pytest.mark.parametrize("name", ["F2", "F3"])
 def test_filtration_check_reads_the_mask_of_each_level(name):
-    # the first columns of each degree have level 0 and pass; the moved
-    # column has level p >= 1 and sits after them, and its entry lands in
-    # level p - 1, outside F^p but inside every level below it
+    # the moved column has level p >= 1, and its entry lands on the
+    # first or the last coordinate of level p - 1, outside F^p but inside
+    # every level below it. In the built basis the first columns of each
+    # degree have level 0 and pass, and the moved one sits after them;
+    # in the interleaved basis levels go up and down, so the mask of F^p
+    # is read from runs all over it
     cx, filt, _ = hs_double_complex(z4_extension(), field=FIELDS[name],
                                     max_total=4)
-    for n in range(1, 4):
-        for p in range(1, n + 1):
-            broken = _with_moved_entry(cx, filt, n, p)
-            with pytest.raises(InvariantViolation,
-                               match=f"d leaves F\\^{p} at degree {n}"):
-                Filtration(broken, filt.levels)
-    Filtration(cx, filt.levels)
+    shuffled, levels = _interleaved(cx, filt)
+    assert any(lv != sorted(lv) for lv in levels)
+    for cx, filt in ((cx, filt), (shuffled, Filtration(shuffled, levels))):
+        for n in range(1, 4):
+            lv = filt.levels[n + 1]
+            for p in range(1, n + 1):
+                last = len(lv) - 1 - lv[::-1].index(p - 1)
+                for i in (lv.index(p - 1), last):
+                    broken = _with_moved_entry(cx, filt, n, p, i)
+                    message = f"d leaves F\\^{p} at degree {n}"
+                    with pytest.raises(InvariantViolation, match=message):
+                        Filtration(broken, filt.levels)

@@ -4,7 +4,9 @@ import tracemalloc
 import pytest
 
 from qmcoh import words
+from qmcoh.quasimorphism import BrooksQuasimorphism
 from qmcoh.verify import (
+    DEFAULT_SAMPLES,
     REGISTRY,
     VerifyContext,
     registry_rows,
@@ -140,9 +142,28 @@ def test_chains_suite_splits_and_reduces_no_long_string(monkeypatch):
     assert checked["duality-defect-bound"] == 12
 
 
+def test_duality_defect_bound_scans_each_long_power_once(monkeypatch):
+    # b reads phi and phi-bar of each of g^P, (gh)^P and h^P, P = 2^16,
+    # off one scan of its core: one scan longer than 4,096 letters per
+    # power, three per sample. Scanning the whole word for phi and the
+    # two strings of the power line would make nine
+    long_scans = []
+    eval_string = BrooksQuasimorphism.eval_string
+
+    def counted(self, s):
+        if len(s) > 4096:
+            long_scans.append(len(s))
+        return eval_string(self, s)
+
+    monkeypatch.setattr(BrooksQuasimorphism, "eval_string", counted)
+    report = run_suite("chains", cutoff=16)
+    assert report["passed"]
+    assert len(long_scans) == 3 * DEFAULT_SAMPLES == 18
+
+
 def test_duality_defect_bound_builds_no_long_tuple(monkeypatch):
-    # its long powers exist only as strings assembled from the split
-    # that words.power_chars returns: no power tuple and no re-encoding
+    # its long powers exist only as the core strings of the splits that
+    # words.power_chars returns: no power tuple and no re-encoding
     # of one, while the identity still holds on every sample
     power, chars = words.power, words.chars
 
