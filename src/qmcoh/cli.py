@@ -31,8 +31,8 @@ from .fixtures import z4_extension
 from .groups import FreeGroup
 from .quasimorphism import (
     BrooksQuasimorphism,
+    HomogeneousCocycle,
     defect_estimate,
-    homogeneous_cocycle,
     homogenize,
 )
 from .spectral import (
@@ -106,6 +106,7 @@ def _cmd_qm(args) -> int:
     if not w:
         raise CliError("--word must be a nonempty reduced word")
     phi = BrooksQuasimorphism(w)
+    group = FreeGroup(max(2, words.max_generator(w)))
     if args.action == "eval":
         if args.on is None:
             raise CliError("eval needs --on WORD")
@@ -117,13 +118,12 @@ def _cmd_qm(args) -> int:
     elif args.action == "cocycle":
         if args.pair is None:
             raise CliError("cocycle needs --pair G H")
-        c = homogeneous_cocycle(phi)
+        c = HomogeneousCocycle(group, phi)
         g, h = (words.parse(t) for t in args.pair)
         print(Fraction(c(g, h)))
     else:  # defect-estimate
-        rank = max(2, words.max_generator(w))
         print(Fraction(defect_estimate(
-            phi, FreeGroup(rank), samples=args.samples, seed=args.seed,
+            phi, group, samples=args.samples, seed=args.seed,
             size=args.size,
         )))
     return 0

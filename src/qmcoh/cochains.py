@@ -4,7 +4,9 @@ pairing against finite-support chains.
 Cochains are evaluator-backed: the group is infinite in the main use
 case, so a cochain is whatever can be evaluated on tuples, plus an
 optional certified sup-norm bound. Finite-support table cochains (for
-adjointness tests) are built on top of the same class.
+adjointness tests) are built on top of the same class, and so are the
+degree-2 cocycles of :mod:`qmcoh.quasimorphism`, which override
+``evaluate`` only.
 
 Values are rationals with the trivial action, or degree-2 chains under
 a caller-supplied ``action`` (the chain cochains of
@@ -14,9 +16,10 @@ leading term; ``cup`` and ``pair`` take scalar cochains only.
 
 The pairing returns an exact value plus an error bound. A chain's
 truncation tail enters the bound through its ``tail_bound``; against a
-cocycle flagged homogeneous a tail flagged ``power_tail`` (all same-base
-power pairs, as ``chains.m_chain`` cuts off) contributes exactly zero,
-which is what makes certified zero-error pairings possible.
+cochain flagged ``homogeneous`` a tail flagged ``power_tail`` (all
+same-base power pairs, as ``chains.m_chain`` cuts off) contributes
+exactly zero, which is what makes certified zero-error pairings
+possible.
 
 ``InvariantCochain`` (the homogeneous picture, (degree+1)-tuples) is an
 evaluator shell only; nothing in the package builds one.
@@ -31,6 +34,7 @@ from . import words
 from .chains import Chain
 from .errors import ResourceCapExceeded
 from .groups import Group
+from .words import Pow
 
 MAX_DEGREE = 6
 
@@ -47,10 +51,16 @@ class BoundedCochain:
     action of the group on the values. ``norm_bound``, when given, is a
     certified bound on the values' magnitude and feeds pairing error
     bounds.
+
+    Every call goes through ``evaluate``, which a subclass may override
+    in place of an evaluator. ``homogeneous`` marks a cochain that
+    vanishes on every pair of powers of a common element (the cocycle
+    of a homogeneous quasimorphism); a subclass sets it.
     """
 
     __slots__ = ("group", "degree", "action", "evaluator", "norm_bound",
                  "name")
+    homogeneous = False
 
     def __init__(self, group: Group, degree: int, evaluator: Callable,
                  action: Callable | None = None, norm_bound=None,
@@ -73,12 +83,14 @@ class BoundedCochain:
             raise ValueError(
                 f"{self.name} has degree {self.degree}, got {len(g)} arguments"
             )
-        return self.evaluator(*g)
+        return self.evaluate(g)
 
     def evaluate(self, entry) -> Fraction:
         """Value on a chain-support tuple; symbolic powers are expanded
         (the expansion cap still applies)."""
-        return self(*(words.expand_entry(x) for x in entry))
+        if Pow in map(type, entry):
+            entry = map(words.expand_entry, entry)
+        return self.evaluator(*entry)
 
     def __repr__(self):
         return f"BoundedCochain({self.name}, deg={self.degree})"
@@ -197,17 +209,17 @@ class PairingResult(NamedTuple):
         return f"{self.value} +- {self.error_bound}"
 
 
-def pair(c, z: Chain) -> PairingResult:
+def pair(c: BoundedCochain, z: Chain) -> PairingResult:
     """<c, z>: the sum of n * c(tuple) over the chain's integer
     numerators, divided once by its denominator ``z.den``, with an error
     bound for the truncated tail.
 
-    Accepts any evaluator with ``degree`` and ``evaluate`` (both the
-    cocycle classes and :class:`BoundedCochain`); scalar values are
-    required, so a cochain with an ``action`` is refused. Bound rules:
-    zero tail gives bound 0; a tail flagged ``power_tail`` paired
-    against a cocycle flagged homogeneous contributes exactly 0 (every
-    cut term is a same-base power pair, on which such a cocycle
+    Values are read with ``c.evaluate``, so a cocycle of
+    :mod:`qmcoh.quasimorphism` keeps symbolic powers symbolic. Scalar
+    values are required, so a cochain with an ``action`` is refused.
+    Bound rules: zero tail gives bound 0; a tail flagged ``power_tail``
+    paired against a cochain flagged ``homogeneous`` contributes exactly
+    0 (every cut term is a same-base power pair, on which such a cochain
     vanishes); otherwise the bound is norm_bound * tail_bound, and a
     missing norm bound is an error.
     """
@@ -215,7 +227,7 @@ def pair(c, z: Chain) -> PairingResult:
         raise ValueError(
             f"degree mismatch: cochain {c.degree}, chain {z.degree}"
         )
-    if getattr(c, "action", None) is not None:
+    if c.action is not None:
         raise ValueError("pairing needs trivial scalar coefficients")
     total = 0
     for t, n in z.support.items():
@@ -223,9 +235,9 @@ def pair(c, z: Chain) -> PairingResult:
         total += n * (v if type(v) in _EXACT else Fraction(v))
     if z.tail_bound == 0:
         bound = Fraction(0)
-    elif z.power_tail and getattr(c, "homogeneous", False):
+    elif z.power_tail and c.homogeneous:
         bound = Fraction(0)
-    elif getattr(c, "norm_bound", None) is not None:
+    elif c.norm_bound is not None:
         bound = c.norm_bound * z.tail_bound
     else:
         raise ValueError(

@@ -236,17 +236,17 @@ class CentralExtensionModel(Group):
 
     for the cocycle c(g, h) = phi(gh) - phi(g) - phi(h) of a
     quasimorphism phi (``cocycle.phi``, as a ``DefectCocycle`` or
-    ``HomogeneousCocycle`` carries it). The scalar coordinate is an
-    unbounded quasimorphism; its homogenization is phi((t,g)) = t +
-    shift(g), and the canonical section s_x(g) = (-shift(g), g) is the
-    unique one with phi = 0 on it. For a homogeneous phi the shift
-    vanishes identically.
+    ``HomogeneousCocycle`` carries it), over the cocycle's group. The
+    scalar coordinate is an unbounded quasimorphism; its homogenization
+    is phi((t,g)) = t + shift(g), and the canonical section
+    s_x(g) = (-shift(g), g) is the unique one with phi = 0 on it. For a
+    homogeneous phi the shift vanishes identically.
     """
 
-    def __init__(self, group: Group, cocycle):
-        self.group = group
+    def __init__(self, cocycle: BoundedCochain):
+        self.group = cocycle.group
         self.cocycle = cocycle
-        self.identity = (Fraction(0), group.identity)
+        self.identity = (Fraction(0), cocycle.group.identity)
         self._shift: dict = {}
 
     def mul(self, *elts):
@@ -350,13 +350,14 @@ def lifted_obstruction(model: CentralExtensionModel, k: AbstractKernel):
     return ev
 
 
-def composition_cochain(c2, k: AbstractKernel) -> BoundedCochain:
+def composition_cochain(c2: BoundedCochain,
+                        k: AbstractKernel) -> BoundedCochain:
     """Degree-3 scalar cochain on Pi measuring how the kernel's defect
     interacts with a homogeneous 2-cocycle on G:
 
         (a, b, c) -> c2(psi(a)(f(b,c)), f(a,bc)) - c2(f(a,b), f(ab,c)).
     """
-    if not getattr(c2, "homogeneous", False):
+    if not c2.homogeneous:
         raise ValueError("composition cochain needs a homogeneous cocycle")
     P = k.pi
 

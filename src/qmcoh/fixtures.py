@@ -30,8 +30,8 @@ from .groups import (
 )
 from .quasimorphism import (
     BrooksQuasimorphism,
+    HomogeneousCocycle,
     SumQuasimorphism,
-    homogeneous_cocycle,
 )
 
 _AB = (1, 2)
@@ -187,12 +187,13 @@ def pi_elements(pi, bound: int = 6):
     return tuple(pi.elements())
 
 
-def swap_invariant_cocycle():
-    """Homogeneous cocycle of brooks(ab) + brooks(ba); the sum is fixed
-    pointwise by the generator swap, hence by the split-swap action."""
+def swap_invariant_cocycle(group: FreeGroup) -> HomogeneousCocycle:
+    """Homogeneous cocycle over ``group`` of brooks(ab) + brooks(ba);
+    the sum is fixed pointwise by the generator swap, hence by the
+    split-swap action."""
     phi = SumQuasimorphism(
         [BrooksQuasimorphism(words.parse("ab")),
          BrooksQuasimorphism(words.parse("ba"))],
         name="sym",
     )
-    return homogeneous_cocycle(phi)
+    return HomogeneousCocycle(group, phi)

@@ -6,8 +6,16 @@ is in closed form: a Brooks count on powers of g is affine in the
 exponent from k0(g) on (see ``BrooksQuasimorphism.eval_power``), and
 its slope, the per-period count on the periodic word core(g)^Z, is the
 exact limit of phi(g^n)/n. Nothing here is floating point and nothing
-is truncated. The primitive psi that makes a defect cocycle d(phi)
-homogeneous is the same closed form: ``drift`` is homogenize(phi) - phi.
+is truncated.
+
+The cocycles (``DefectCocycle``, ``HomogeneousCocycle``,
+``PulledBackCocycle``, ``CorrectedCocycle``) are degree-2
+:class:`qmcoh.cochains.BoundedCochain`s over the group they are given,
+so ``coboundary``, ``cup`` and ``pair`` take them like any other
+cochain. Each overrides ``evaluate`` only, so its calls and its
+pairings share one formula and one cache. The primitive psi that makes
+a defect cocycle d(phi) homogeneous is the same closed form as the
+homogenization: ``drift`` is homogenize(phi) - phi.
 
 Counting is done on the one-character-per-letter string encoding (see
 ``words.chars``), so an occurrence count is a substring scan. Brooks
@@ -31,7 +39,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import words
+from .cochains import BoundedCochain, coboundary
 from .errors import NotACocycle
+from .groups import Group
 from .words import Pow, Word
 
 
@@ -215,8 +225,9 @@ class BrooksQuasimorphism(Quasimorphism):
 
 class SumQuasimorphism(Quasimorphism):
     """A sum of quasimorphisms, held as its parts. It has no pointwise
-    value: ``homogenize`` homogenizes it part by part, and
-    ``homogeneous_cocycle`` reads it only that way."""
+    value: ``homogenize`` homogenizes it part by part, and a
+    ``HomogeneousCocycle`` of a sum reads it only that way, through the
+    ``Homogenization`` it wraps the sum in."""
 
     def __init__(self, parts, name: str | None = None):
         parts = tuple(parts)
@@ -300,40 +311,17 @@ def _same_power_base(x, y) -> bool:
     return bx == by or bx == words.inv(by)
 
 
-class Cochain2:
-    """Degree-2 evaluator protocol shared by the cocycle classes.
+class DefectCocycle(BoundedCochain):
+    """c(g,h) = phi(gh) - phi(g) - phi(h) over ``group`` for a not
+    necessarily homogeneous phi. Bounded by three times any bound on
+    phi's defect; set ``norm_bound`` explicitly when a certified pairing
+    bound is needed. Values are cached per pair of chain entries."""
 
-    ``evaluate`` receives a pair of chain entries (words or symbolic
-    powers) and must return an exact rational; ``homogeneous`` enables
-    the pairing shortcut that kills same-base power pairs.
-    """
-
-    degree = 2
-    homogeneous = False
-    norm_bound = None
-    name = "c"
-
-    def __call__(self, g, h):
-        return self.evaluate((g, h))
-
-    def evaluate(self, entry):
-        raise NotImplementedError
-
-    def __repr__(self):
-        return self.name
-
-
-class DefectCocycle(Cochain2):
-    """c(g,h) = phi(gh) - phi(g) - phi(h) for a not necessarily
-    homogeneous phi. Bounded by three times any bound on phi's defect;
-    set ``norm_bound`` explicitly when a certified pairing bound is
-    needed."""
-
-    def __init__(self, phi: Quasimorphism, name: str | None = None,
-                 norm_bound=None):
+    def __init__(self, group: Group, phi: Quasimorphism,
+                 name: str | None = None, norm_bound=None):
+        super().__init__(group, 2, None, norm_bound=norm_bound,
+                         name=name or f"defect({phi!r})")
         self.phi = phi
-        self.name = name or f"defect({phi!r})"
-        self.norm_bound = norm_bound
         self._cache: dict = {}
 
     def evaluate(self, entry):
@@ -352,7 +340,8 @@ class DefectCocycle(Cochain2):
 
 
 class HomogeneousCocycle(DefectCocycle):
-    """c(g,h) = phi(gh) - phi(g) - phi(h) for homogeneous phi.
+    """c(g,h) = phi(gh) - phi(g) - phi(h) for the homogenization of phi
+    (phi itself when it is homogeneous).
 
     Vanishes identically on pairs of powers of a common element; the
     evaluator short-circuits that case so symbolic powers never expand.
@@ -360,10 +349,11 @@ class HomogeneousCocycle(DefectCocycle):
 
     homogeneous = True
 
-    def __init__(self, phi: Quasimorphism, name: str | None = None):
+    def __init__(self, group: Group, phi: Quasimorphism,
+                 name: str | None = None):
         if not phi.homogeneous:
             phi = Homogenization(phi)
-        super().__init__(phi, name)
+        super().__init__(group, phi, name)
 
     def evaluate(self, entry):
         x, y = entry
@@ -375,21 +365,16 @@ class HomogeneousCocycle(DefectCocycle):
         return super().evaluate(entry)
 
 
-def homogeneous_cocycle(phi: Quasimorphism) -> HomogeneousCocycle:
-    """The coboundary-style cocycle of the homogenization of phi."""
-    return HomogeneousCocycle(Homogenization(phi))
+class PulledBackCocycle(BoundedCochain):
+    """c(aut(g), aut(h)) over c's group; keeps symbolic powers symbolic
+    since automorphisms send powers to powers."""
 
-
-class PulledBackCocycle(Cochain2):
-    """c(aut(g), aut(h)); keeps symbolic powers symbolic since
-    automorphisms send powers to powers."""
-
-    def __init__(self, aut, c: Cochain2):
+    def __init__(self, aut, c: BoundedCochain):
+        super().__init__(c.group, 2, None, norm_bound=c.norm_bound,
+                         name=f"pullback({c.name})")
         self.aut = aut
         self.inner = c
         self.homogeneous = c.homogeneous
-        self.norm_bound = c.norm_bound
-        self.name = f"pullback({c!r})"
 
     def _map(self, x):
         if isinstance(x, Pow):
@@ -398,16 +383,6 @@ class PulledBackCocycle(Cochain2):
 
     def evaluate(self, entry):
         return self.inner.evaluate(tuple(self._map(x) for x in entry))
-
-
-def cocycle_defect(c, g, h, k, group) -> Fraction:
-    """dc(g,h,k) = c(h,k) - c(gh,k) + c(g,hk) - c(g,h)."""
-    return (
-        c(h, k)
-        - c(group.mul(g, h), k)
-        + c(g, group.mul(h, k))
-        - c(g, h)
-    )
 
 
 def drift(c, g):
@@ -421,46 +396,41 @@ def drift(c, g):
     return homogenize(c.phi, g) - c.phi(g)
 
 
-class CorrectedCocycle(Cochain2):
-    """c(g, h) + psi(gh) - psi(g) - psi(h) with psi = ``drift(c, .)``:
-    for c = d(phi) this is d(homogenization of phi), the homogeneous
-    representative of c's class, computed term by term from c."""
+class CorrectedCocycle(BoundedCochain):
+    """c(g, h) + psi(gh) - psi(g) - psi(h) with psi = ``drift(c, .)``,
+    over c's group: for c = d(phi) this is d(homogenization of phi), the
+    homogeneous representative of c's class, computed term by term from
+    c."""
 
     homogeneous = True
 
-    def __init__(self, c, group):
+    def __init__(self, c: BoundedCochain):
+        super().__init__(c.group, 2, None, name=f"homog-rep({c.name})")
         self.base = c
-        self.group = group
-        self.name = f"homog-rep({c!r})"
-
-    def psi(self, g):
-        return drift(self.base, g)
 
     def evaluate(self, entry):
-        x, y = entry
-        g = words.expand_entry(x)
-        h = words.expand_entry(y)
+        c = self.base
+        g, h = map(words.expand_entry, entry)
         gh = self.group.mul(g, h)
-        return (
-            self.base(g, h) + self.psi(gh) - self.psi(g) - self.psi(h)
-        )
+        return c(g, h) + drift(c, gh) - drift(c, g) - drift(c, h)
 
 
-def homogeneous_representative(c, group,
+def homogeneous_representative(c: BoundedCochain,
                                sample_triples=()) -> CorrectedCocycle:
     """Homogeneous cocycle cohomologous to the defect cocycle c.
 
     Prechecks on the supplied samples: c must vanish against the
-    identity (normalization precondition) and satisfy the cocycle law
-    (NotACocycle with a witness otherwise). The primitive psi(g) is
-    ``drift(c, g)``, exact; a c that carries no phi raises TypeError
-    when psi is first read.
+    identity (normalization precondition) and satisfy the cocycle law,
+    dc = 0 (NotACocycle with a witness otherwise). The primitive psi(g)
+    is ``drift(c, g)``, exact; a c that carries no phi raises TypeError
+    when the representative is first evaluated.
     """
-    e = group.identity
+    e = c.group.identity
+    dc = coboundary(c)
     for (g, h, k) in sample_triples:
         if c(g, e) != 0 or c(e, g) != 0:
             raise ValueError(f"c is not normalized at the identity on {g!r}")
-        d = cocycle_defect(c, g, h, k, group)
+        d = dc(g, h, k)
         if d != 0:
             raise NotACocycle((g, h, k), d)
-    return CorrectedCocycle(c, group)
+    return CorrectedCocycle(c)

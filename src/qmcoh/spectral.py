@@ -44,7 +44,9 @@ Its vertical (column) filtration gives block (p, q) level p.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import operator
 import os
 import random
 from fractions import Fraction
@@ -163,19 +165,22 @@ class Filtration:
         # F^p is spanned by coordinates of level >= p, so d keeps every
         # level exactly when each column stays in its own source level.
         # F^0 is everything, as levels are counts, so level 0 needs no
-        # check. The target degree's runs of equal levels are read once;
-        # the mask of a level is built from them once per run of its
-        # columns and not cached: the lattice asks for few of these masks
+        # check. The columns are visited in (level, index) order, so the
+        # mask of each level is built once, and not cached: the lattice
+        # asks for few of these masks
         for n, cols in enumerate(cx.diffs):
             ops = cx.ops[n + 1]
             outside, is_zero = ops.outside, ops.is_zero
-            runs = self._runs(n + 1)
+            target = self.by_level(n + 1)
+            levels, order = self.by_level(n)
+            if order is not None:
+                cols = map(cols.__getitem__, order)
             level = mask = None
-            for col, p in zip(cols, self.levels[n]):
+            for col, p in zip(cols, levels):
                 if not p:
                     continue
                 if p != level:
-                    level, mask = p, self._mask(p, n + 1, runs)
+                    level, mask = p, self._mask(p, n + 1, target)
                 if not is_zero(outside(col, mask)):
                     raise InvariantViolation(f"d leaves F^{p} at degree {n}")
 
@@ -198,24 +203,26 @@ class Filtration:
         """Coordinate support of F^p K^n, cached."""
         key = (p, n)
         if key not in self._masks:
-            self._masks[key] = self._mask(p, n, self._runs(n))
+            self._masks[key] = self._mask(p, n, self.by_level(n))
         return self._masks[key]
 
-    def _runs(self, n: int):
-        """(level, coordinates) for each run of equal levels in degree
-        n, the coordinates as a range."""
-        runs, i = [], 0
-        for lv, run in itertools.groupby(self.levels[n]):
-            k = sum(1 for _ in run)  # a run is counted, never held
-            runs.append((lv, range(i, i + k)))
-            i += k
-        return runs
+    def by_level(self, n: int):
+        """(the levels of degree n in (level, index) order, the
+        coordinates in that order, or None where they already are)."""
+        lv = self.levels[n]
+        if all(map(operator.le, lv, itertools.islice(lv, 1, None))):
+            return lv, None
+        order = sorted(range(len(lv)), key=lv.__getitem__)
+        return [lv[i] for i in order], order
 
-    def _mask(self, p: int, n: int, runs):
-        # read off the runs of equal levels of degree n (``_runs``); the
-        # coordinates are fed one at a time, never held as a list
-        return self.cx.ops[n].mask(itertools.chain.from_iterable(
-            r for lv, r in runs if lv >= p))
+    def _mask(self, p: int, n: int, by_level):
+        # the coordinates of level >= p are the tail of degree n's
+        # ``by_level`` order from the first level >= p on
+        levels, order = by_level
+        start = bisect.bisect_left(levels, p)
+        if order is None:
+            return self.cx.ops[n].mask(range(start, len(levels)))
+        return self.cx.ops[n].mask(itertools.islice(order, start, None))
 
 
 class SpectralSequence:
@@ -382,18 +389,9 @@ class PersistencePairing:
         self._pairs: list = []  # degree -> {(s, t): count}
         self._cleared: set = set()  # pivot rows of the last reduced degree
 
-    def _sorted(self, n: int):
-        """(levels in (level, index) order, the coordinates in that order,
-        or None where they already are)."""
-        lv = self.filt.levels[n]
-        if all(a <= b for a, b in zip(lv, lv[1:])):
-            return lv, None
-        order = sorted(range(len(lv)), key=lv.__getitem__)
-        return [lv[i] for i in order], order
-
     def _reduce(self, n: int) -> dict:
-        src_levels, src_order = self._sorted(n)
-        tgt_levels, tgt_order = self._sorted(n + 1)
+        src_levels, src_order = self.filt.by_level(n)
+        tgt_levels, tgt_order = self.filt.by_level(n + 1)
         cols = self.cx.diffs[n]
         if src_order is not None:
             cols = [cols[i] for i in src_order]

@@ -69,7 +69,6 @@ from .quasimorphism import (
     Homogenization,
     HomogeneousCocycle,
     PulledBackCocycle,
-    homogeneous_cocycle,
     homogeneous_representative,
 )
 from .spectral import (
@@ -130,10 +129,10 @@ class VerifyContext:
         if self._cocycle is None:
             if self.fixture.startswith("split-swap"):
                 # the swap action needs a cocycle it fixes pointwise
-                self._cocycle = swap_invariant_cocycle()
+                self._cocycle = swap_invariant_cocycle(self.ext.g)
             elif isinstance(self.ext.g, FreeGroup):
-                self._cocycle = homogeneous_cocycle(
-                    BrooksQuasimorphism(words.parse("ab"))
+                self._cocycle = HomogeneousCocycle(
+                    self.ext.g, BrooksQuasimorphism(words.parse("ab"))
                 )
             else:
                 raise ValueError(
@@ -150,7 +149,7 @@ class VerifyContext:
     @property
     def model(self):
         if self._model is None:
-            self._model = CentralExtensionModel(self.ext.g, self.cocycle)
+            self._model = CentralExtensionModel(self.cocycle)
         return self._model
 
     def pi_pool(self, bound: int = 4):
@@ -262,9 +261,9 @@ def _homogeneous_representative(ctx, rng):
         tuple(F2.random_element(rng, 3) for _ in range(3))
         for _ in range(3)
     ]
-    rep = homogeneous_representative(DefectCocycle(phi), F2,
+    rep = homogeneous_representative(DefectCocycle(F2, phi),
                                      sample_triples=triples)
-    direct = homogeneous_cocycle(phi)
+    direct = HomogeneousCocycle(F2, phi)
     for _ in range(ctx.samples):
         g = F2.random_element(rng, 5)
         h = F2.random_element(rng, 5)
@@ -283,7 +282,7 @@ def _homogeneous_representative(ctx, rng):
 def _power_pair_vanishing(ctx, rng):
     t = _Tally()
     F2 = FreeGroup(2)
-    c = homogeneous_cocycle(BrooksQuasimorphism(words.parse("ab")))
+    c = HomogeneousCocycle(F2, BrooksQuasimorphism(words.parse("ab")))
     for _ in range(ctx.samples):
         g = F2.random_element(rng, 6)
         t.pairing(
@@ -300,11 +299,10 @@ def _duality_defect_bound(ctx, rng):
     t = _Tally()
     F2 = FreeGroup(2)
     phi = BrooksQuasimorphism(words.parse("ab"))
-    hom = Homogenization(phi)
     # |d phi| <= 3 D(phi) and D <= 2 for a two-letter counting word; 6
     # is a safe certified sup bound for the tail estimate
-    c_d = DefectCocycle(phi, norm_bound=Fraction(6))
-    c_x = HomogeneousCocycle(hom)
+    c_d = DefectCocycle(F2, phi, norm_bound=Fraction(6))
+    c_x = HomogeneousCocycle(F2, phi)
     N = ctx.cutoff
     P = 2 ** N
 

@@ -21,7 +21,7 @@ from qmcoh.errors import ResourceCapExceeded
 from qmcoh.extensions import AbstractKernel
 from qmcoh.fixtures import semidirect_f2_z
 from qmcoh.groups import FiniteGroup, FreeGroup, FreeAutomorphism, MapAutomorphism
-from qmcoh.quasimorphism import BrooksQuasimorphism, homogeneous_cocycle
+from qmcoh.quasimorphism import BrooksQuasimorphism, HomogeneousCocycle
 from qmcoh.words import Pow, parse
 
 F2 = FreeGroup(2)
@@ -399,7 +399,7 @@ def _sharing_case(kind):
     if kind == "free":
         kernel = semidirect_f2_z().kernel()
         swap = FreeAutomorphism(F2, ((2,), (1,)), ((2,), (1,)))
-        cocycle = homogeneous_cocycle(BrooksQuasimorphism(p("ab")))
+        cocycle = HomogeneousCocycle(F2, BrooksQuasimorphism(p("ab")))
         return F2, p("aab"), p("ba'"), swap, kernel, (1,), cocycle
     z2 = FiniteGroup.cyclic(2)
     flip = MapAutomorphism(Z4, Z4.inv, Z4.inv)
@@ -659,7 +659,7 @@ def test_pairing_matches_the_fraction_reference():
         (g, g): Fraction(2, 3), (g2, g2): Fraction(-5, 7),
         (g, h): 3, (h, g): Fraction(1, 5),
     })
-    brooks = homogeneous_cocycle(BrooksQuasimorphism(p("ab")))
+    brooks = HomogeneousCocycle(F2, BrooksQuasimorphism(p("ab")))
     # a float value enters the sum exactly, as Fraction(0.375) = 3/8
     floats = BoundedCochain(F2, 2, lambda x, y: 0.375, norm_bound=1)
     for c in (table, brooks, floats):

@@ -14,7 +14,13 @@ from qmcoh.cochains import (
 )
 from qmcoh.errors import ResourceCapExceeded
 from qmcoh.groups import FiniteGroup, FreeAutomorphism, FreeGroup
-from qmcoh.quasimorphism import BrooksQuasimorphism, homogeneous_cocycle
+from qmcoh.quasimorphism import (
+    BrooksQuasimorphism,
+    DefectCocycle,
+    HomogeneousCocycle,
+    PulledBackCocycle,
+    homogeneous_representative,
+)
 
 F2 = FreeGroup(2)
 p = words.parse
@@ -166,6 +172,36 @@ def test_cup_leibniz():
             assert lhs(*t) == rhs_a(*t) + sign * rhs_b(*t)
 
 
+def test_cup_leibniz_with_the_cocycle_classes():
+    # d(z u c) = dz u c - z u dc for a 1-cochain z and each cocycle
+    # class c; z is the exponent sum in a (a cocycle) or a Brooks count
+    # (not one, so dz u c does not vanish)
+    rng = random.Random(37)
+    ab = BrooksQuasimorphism(p("ab"))
+    cx = HomogeneousCocycle(F2, ab)
+    cocycles = [
+        cx,
+        DefectCocycle(F2, BrooksQuasimorphism(p("aab"))),
+        PulledBackCocycle(
+            FreeAutomorphism(F2, (p("ab"), p("b")), (p("ab'"), p("b"))), cx),
+        homogeneous_representative(DefectCocycle(F2, ab)),
+    ]
+    sums = BoundedCochain(F2, 1, lambda g: words.exponent_sum(g, 1), name="z")
+    brooks = BoundedCochain(F2, 1, BrooksQuasimorphism(p("ba'")), name="w")
+    nonzero = {}
+    for z in (sums, brooks):
+        for c in cocycles:
+            lhs = coboundary(cup(z, c))
+            rhs_a = cup(coboundary(z), c)
+            rhs_b = cup(z, coboundary(c))
+            assert lhs.degree == 4 and lhs.group is F2
+            for t in rand_tuples(rng, 4, 50, size=4):
+                value = lhs(*t)
+                assert value == rhs_a(*t) - rhs_b(*t), (z, c, t)
+                nonzero[z.name] = nonzero.get(z.name, 0) + (value != 0)
+    assert nonzero["z"] == 0 < nonzero["w"]
+
+
 def test_cup_associative():
     rng = random.Random(23)
     f, h, k = (rand_table(rng, 1) for _ in range(3))
@@ -195,7 +231,7 @@ def test_pair_zero_chain():
 
 
 def test_pair_homogeneous_cocycle_with_m2_is_exact():
-    cx = homogeneous_cocycle(BrooksQuasimorphism(p("ab")))
+    cx = HomogeneousCocycle(F2, BrooksQuasimorphism(p("ab")))
     rng = random.Random(29)
     for _ in range(12):
         g = F2.random_element(rng, rng.randint(1, 4))
@@ -226,7 +262,7 @@ def test_pair_requires_bound_for_tails():
 def test_pair_certifies_a_tail_only_when_it_is_all_power_pairs():
     # m carries a tail of power pairs; y a tail of unknown shape. The sum
     # inherits y's, so a homogeneous cocycle cannot certify it as 0.
-    cx = homogeneous_cocycle(BrooksQuasimorphism(p("ab")))
+    cx = HomogeneousCocycle(F2, BrooksQuasimorphism(p("ab")))
     m = m_chain(F2, p("ab"), 4)
     y = Chain(F2, 2, [((p("a"), p("b")), 1)], tail_bound=1)
     assert pair(cx, m) == (0, 0)

@@ -38,8 +38,8 @@ from qmcoh.groups import TwistedProduct, inner_automorphism
 from qmcoh.quasimorphism import (
     BrooksQuasimorphism,
     DefectCocycle,
+    HomogeneousCocycle,
     PulledBackCocycle,
-    homogeneous_cocycle,
     homogenize,
 )
 
@@ -48,8 +48,8 @@ KER = EXT.kernel()
 F2 = KER.g
 GEN = (1,)
 
-CX = homogeneous_cocycle(BrooksQuasimorphism(words.parse("ab")))
-MODEL = CentralExtensionModel(F2, CX)
+CX = HomogeneousCocycle(F2, BrooksQuasimorphism(words.parse("ab")))
+MODEL = CentralExtensionModel(CX)
 
 
 def random_triples(ext, rng, count):
@@ -246,9 +246,18 @@ def test_section_kills_phi_and_shift_vanishes_for_homogeneous_base():
         assert MODEL.phi(MODEL.section(g)) == 0
 
 
+def test_the_model_lives_over_its_cocycle_group():
+    phi = BrooksQuasimorphism(words.parse("ab"))
+    swap = split_swap()
+    for c in (CX, DefectCocycle(F2, phi), swap_invariant_cocycle(swap.g)):
+        model = CentralExtensionModel(c)
+        assert model.group is c.group
+        assert model.identity == (0, c.group.identity)
+
+
 def test_shift_matches_homogenization_on_defect_model():
     phi = BrooksQuasimorphism(words.parse("ab"))
-    model = CentralExtensionModel(F2, DefectCocycle(phi))
+    model = CentralExtensionModel(DefectCocycle(F2, phi))
     rng = random.Random(8)
     for _ in range(12):
         g = F2.random_element(rng, 8)
@@ -262,13 +271,13 @@ def test_shift_is_exact_where_power_values_settle_late():
     # one occurrence of w, so the shift is 1; the values c(g^n, g) only
     # settle from n = 10 on
     phi = BrooksQuasimorphism(words.parse("b'" * 11))
-    model = CentralExtensionModel(F2, DefectCocycle(phi))
+    model = CentralExtensionModel(DefectCocycle(F2, phi))
     g = words.parse("b'")
     assert model.shift(g) == 1
     assert model.phi(model.section(g)) == 0
     assert model.shift(words.parse("a")) == 0
     with pytest.raises(TypeError, match="phi"):
-        CentralExtensionModel(F2, PulledBackCocycle(KER.psi(GEN), CX)).shift(g)
+        CentralExtensionModel(PulledBackCocycle(KER.psi(GEN), CX)).shift(g)
 
 
 def test_section_power_and_conjugation_laws():
@@ -375,7 +384,7 @@ def test_lifted_obstruction_decomposition():
 def test_composition_cochain_requires_homogeneous_cocycle():
     phi = BrooksQuasimorphism(words.parse("ab"))
     with pytest.raises(ValueError, match="homogeneous"):
-        composition_cochain(DefectCocycle(phi), KER)
+        composition_cochain(DefectCocycle(F2, phi), KER)
 
 
 def test_composition_cochain_vanishes_for_split_section():
@@ -528,8 +537,8 @@ def test_t_chain_degenerate_argument_pairs_to_zero():
 
 def test_t_chain_cobounds_the_pulled_back_theta():
     rng = random.Random(25)
-    for ext, cocycle in ((EXT, CX), (split_swap(decorated=True),
-                                     swap_invariant_cocycle())):
+    swap = split_swap(decorated=True)
+    for ext, cocycle in ((EXT, CX), (swap, swap_invariant_cocycle(swap.g))):
         k = ext.kernel()
         theta = theta_chain(k)
         T = t_chain(ext)
@@ -558,8 +567,9 @@ def test_pair_chain_class_is_invariant():
 
 def test_swap_symmetrized_cocycle_is_invariant_for_the_split_kernel():
     rng = random.Random(27)
-    c = swap_invariant_cocycle()
-    k = split_swap(decorated=True).kernel()
+    ext = split_swap(decorated=True)
+    c = swap_invariant_cocycle(ext.g)
+    k = ext.kernel()
     for alpha in (1, 2):
         pulled = PulledBackCocycle(k.psi(alpha), c)
         for _ in range(15):

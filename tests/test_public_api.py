@@ -16,9 +16,13 @@ imports is read in that module. These two read code, not text: a name
 is read where it occurs as an ``ast`` ``Name`` or ``Attribute`` node,
 which covers expressions inside f-strings but not docstrings or
 comments.
+
+Every fenced ``python`` block of ``README.md`` runs as it stands, so a
+name the README uses cannot be deleted or renamed unnoticed.
 """
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +32,7 @@ import qmcoh
 SRC = Path(qmcoh.__file__).parent
 TESTS = Path(__file__).parent
 TRACING = TESTS.parent / "perfbench" / "tracing.py"
+README = TESTS.parent / "README.md"
 
 # Run by no package code, but bound by the benchmark's tracing
 # (perfbench/tracing.py), which wraps the linalg helpers, Chain.scale,
@@ -245,3 +250,11 @@ def test_every_imported_name_is_read():
             if name not in names
         ]
     assert unread == []
+
+
+def test_every_python_block_of_the_readme_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(),
+                        re.MULTILINE | re.DOTALL)
+    assert blocks
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i + 1}", "exec"), {})

@@ -4,19 +4,20 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qmcoh import words
+from qmcoh.cochains import BoundedCochain, coboundary
 from qmcoh.errors import NotACocycle
+from qmcoh.fixtures import swap_invariant_cocycle
 from qmcoh.groups import FreeGroup, inner_automorphism
 from qmcoh.quasimorphism import (
     BrooksQuasimorphism,
-    Cochain2,
     DefectCocycle,
     Homogenization,
+    HomogeneousCocycle,
     PulledBackCocycle,
     SumQuasimorphism,
-    cocycle_defect,
     count_occurrences,
     defect_estimate,
-    homogeneous_cocycle,
+    drift,
     homogeneous_representative,
     homogenize,
 )
@@ -232,7 +233,7 @@ def test_defect_estimate_is_deterministic_lower_bound():
 
 
 def test_homogeneous_cocycle_oracles():
-    c = homogeneous_cocycle(BrooksQuasimorphism(p("ab")))
+    c = HomogeneousCocycle(F2, BrooksQuasimorphism(p("ab")))
     assert c(p("a"), p("b")) == 1
     assert c(p("a"), p("a")) == 0
     # phi(ba): (ba)^n contains ab exactly n-1 times and b'a' never,
@@ -241,15 +242,31 @@ def test_homogeneous_cocycle_oracles():
 
 
 def test_cocycle_law_sampled():
-    c = homogeneous_cocycle(BrooksQuasimorphism(p("ab")))
+    c = HomogeneousCocycle(F2, BrooksQuasimorphism(p("ab")))
+    dc = coboundary(c)
     rng = random.Random(23)
     for _ in range(30):
         g, h, k = (F2.random_element(rng, 6) for _ in range(3))
-        assert cocycle_defect(c, g, h, k, F2) == 0
+        assert dc(g, h, k) == 0
+
+
+def test_defect_cocycles_are_closed_under_coboundary():
+    # d(d phi) = 0 for a non-homogeneous phi, and the swap-invariant
+    # cocycle of the sum brooks(ab) + brooks(ba) is closed too
+    cocycles = [DefectCocycle(F2, BrooksQuasimorphism(p(w)))
+                for w in ("ab", "aab", "abAB")]
+    cocycles.append(swap_invariant_cocycle(F2))
+    rng = random.Random(41)
+    for c in cocycles:
+        dc = coboundary(c)
+        assert dc.degree == 3 and dc.group is F2
+        for _ in range(40):
+            g, h, k = (F2.random_element(rng, 6) for _ in range(3))
+            assert dc(g, h, k) == 0, (c.name, g, h, k)
 
 
 def test_power_pair_shortcut_never_expands():
-    c = homogeneous_cocycle(BrooksQuasimorphism(p("ab")))
+    c = HomogeneousCocycle(F2, BrooksQuasimorphism(p("ab")))
     g = p("ab'a")
     # exponents far beyond the expansion cap: only the shortcut can answer
     assert c.evaluate((Pow(g, 2**30), Pow(g, 2**30))) == 0
@@ -258,7 +275,7 @@ def test_power_pair_shortcut_never_expands():
 
 
 def test_homogeneous_cocycle_on_power_pairs_honestly():
-    c = homogeneous_cocycle(BrooksQuasimorphism(p("ab")))
+    c = HomogeneousCocycle(F2, BrooksQuasimorphism(p("ab")))
     g = p("aab")
     for n, m in ((1, 1), (2, 3), (-2, 2), (3, -1)):
         gn = words.power(g, n)
@@ -268,14 +285,14 @@ def test_homogeneous_cocycle_on_power_pairs_honestly():
 
 def test_defect_cocycle_pow_entries():
     phi = BrooksQuasimorphism(p("ab"))
-    c = DefectCocycle(phi)
+    c = DefectCocycle(F2, phi)
     g = p("ab")
     direct = phi(words.power(g, 4)) - 2 * phi(words.power(g, 2))
     assert c.evaluate((Pow(g, 2), Pow(g, 2))) == direct
 
 
 def test_pullback_by_inner_fixes_homogeneous():
-    c = homogeneous_cocycle(BrooksQuasimorphism(p("ab")))
+    c = HomogeneousCocycle(F2, BrooksQuasimorphism(p("ab")))
     i = inner_automorphism(F2, p("ab'"))
     cc = PulledBackCocycle(i, c)
     rng = random.Random(5)
@@ -287,7 +304,7 @@ def test_pullback_by_inner_fixes_homogeneous():
 
 
 def test_pullback_keeps_powers_symbolic():
-    c = homogeneous_cocycle(BrooksQuasimorphism(p("ab")))
+    c = HomogeneousCocycle(F2, BrooksQuasimorphism(p("ab")))
     i = inner_automorphism(F2, p("b"))
     cc = PulledBackCocycle(i, c)
     g = p("ab")
@@ -296,13 +313,13 @@ def test_pullback_keeps_powers_symbolic():
 
 def test_homogeneous_representative_matches_direct():
     phi = BrooksQuasimorphism(p("ab"))
-    c = DefectCocycle(phi)
+    c = DefectCocycle(F2, phi)
     rng = random.Random(31)
     triples = [
         tuple(F2.random_element(rng, 5) for _ in range(3)) for _ in range(10)
     ]
-    rep = homogeneous_representative(c, F2, sample_triples=triples)
-    cx = homogeneous_cocycle(phi)
+    rep = homogeneous_representative(c, sample_triples=triples)
+    cx = HomogeneousCocycle(F2, phi)
     for _ in range(20):
         g = F2.random_element(rng, 6)
         h = F2.random_element(rng, 6)
@@ -313,11 +330,17 @@ def test_psi_is_exact_where_power_values_settle_late():
     # phi_w(b'^n) = max(0, n - 10), so c(b'^n, b') reads 0 for
     # n = 1..9 before it settles on the drift 1 from n = 10 on
     phi = BrooksQuasimorphism(p("b'" * 11))
-    rep = homogeneous_representative(DefectCocycle(phi), F2)
-    assert rep.psi(p("b'")) == 1
-    assert rep.psi(p("ab'a'")) == 1
-    assert rep.psi(p("b")) == -1
-    assert rep.psi(()) == 0
+    c = DefectCocycle(F2, phi)
+    assert drift(c, p("b'")) == 1
+    assert drift(c, p("ab'a'")) == 1
+    assert drift(c, p("b")) == -1
+    assert drift(c, ()) == 0
+    # the representative adds d(drift) to c: c(b'^10, b') = 1 - 0 - 0,
+    # and the drift terms 10 - 10 - 1 cancel it on this power pair
+    rep = homogeneous_representative(c)
+    b10 = words.power(p("b'"), 10)
+    assert c(b10, p("b'")) == 1
+    assert rep(b10, p("b'")) == 0
 
 
 @given(long_brooks_words, short_cores | conjugated_words,
@@ -325,46 +348,42 @@ def test_psi_is_exact_where_power_values_settle_late():
 @settings(max_examples=150)
 def test_homogeneous_representative_is_exact_on_long_words(w, g, h):
     phi = BrooksQuasimorphism(w)
-    rep = homogeneous_representative(DefectCocycle(phi), F2)
-    assert rep(g, h) == homogeneous_cocycle(phi)(g, h)
+    rep = homogeneous_representative(DefectCocycle(F2, phi))
+    assert rep(g, h) == HomogeneousCocycle(F2, phi)(g, h)
 
 
 def test_psi_vanishes_for_a_homogeneous_cocycle():
-    c = homogeneous_cocycle(BrooksQuasimorphism(p("abb")))
-    rep = homogeneous_representative(c, F2)
+    c = HomogeneousCocycle(F2, BrooksQuasimorphism(p("abb")))
+    rep = homogeneous_representative(c)
     rng = random.Random(17)
     for _ in range(15):
         g = F2.random_element(rng, 7)
         h = F2.random_element(rng, 7)
-        assert rep.psi(g) == 0
+        assert drift(c, g) == 0
         assert rep(g, h) == c(g, h)
 
 
 def test_psi_needs_a_cocycle_with_a_phi():
-    c = homogeneous_cocycle(BrooksQuasimorphism(p("ab")))
+    c = HomogeneousCocycle(F2, BrooksQuasimorphism(p("ab")))
     pulled = PulledBackCocycle(inner_automorphism(F2, p("b")), c)
-    rep = homogeneous_representative(pulled, F2)
+    rep = homogeneous_representative(pulled)
     with pytest.raises(TypeError, match="phi"):
-        rep.psi(p("ab"))
+        drift(pulled, p("ab"))
+    with pytest.raises(TypeError, match="phi"):
+        rep(p("ab"), p("b"))
 
 
 def test_homogeneous_representative_rejects_non_cocycle():
-    class Junk(Cochain2):
-        def evaluate(self, entry):
-            x, y = entry
-            return 1 if (x != () and y != ()) else 0
-
+    junk = BoundedCochain(F2, 2, lambda x, y: 1 if (x != () and y != ()) else 0)
     triples = [(p("a"), p("a'"), p("b"))]
-    with pytest.raises(NotACocycle):
-        homogeneous_representative(Junk(), F2, sample_triples=triples)
+    # dc(a, a', b) = c(a', b) - c(1, b) + c(a, a'b) - c(a, a') = 1
+    with pytest.raises(NotACocycle) as err:
+        homogeneous_representative(junk, sample_triples=triples)
+    assert (err.value.witness, err.value.value) == (triples[0], 1)
 
 
 def test_homogeneous_representative_rejects_unnormalized():
-    class Junk(Cochain2):
-        def evaluate(self, entry):
-            x, y = entry
-            return len(x)
-
+    junk = BoundedCochain(F2, 2, lambda x, y: len(x))
     triples = [(p("a"), p("b"), p("ab"))]
     with pytest.raises(ValueError, match="normalized"):
-        homogeneous_representative(Junk(), F2, sample_triples=triples)
+        homogeneous_representative(junk, sample_triples=triples)
