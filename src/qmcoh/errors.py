@@ -23,6 +23,12 @@ class NotACocycle(ValueError):
         super().__init__(f"cocycle law fails at {witness!r}: defect {value}")
 
 
+class UsageError(ValueError):
+    """The run cannot go as configured: a setting is malformed, or the
+    fixture does not fit the identity. ``verify`` passes it on instead
+    of recording it as the identity's failure."""
+
+
 class InvariantViolation(ValueError):
     """A structural law of a filtered complex fails in ``spectral``: d.d
     != 0, d leaving F^p, F^0 not spanning, the quotient action not

@@ -24,7 +24,6 @@ leading term.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
 
 from .chains import m2_chain, pushforward
 from .cochains import BoundedCochain
@@ -98,30 +97,14 @@ class AbstractKernel:
         return f"AbstractKernel({self.name})"
 
 
-class KernelReport(NamedTuple):
-    """Outcome of a sampled identity check; failures carry witnesses."""
-
-    checked: int
-    failures: tuple
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def check_nonabelian_cocycle(k: AbstractKernel, triples) -> KernelReport:
-    """Sampled product rule psi(a)(f(b,c)) f(a,bc) = f(a,b) f(ab,c);
-    report-valued, failing triples are returned with both sides."""
+def cocycle_sides(k: AbstractKernel, a, b, c):
+    """Both sides of the product rule psi(a)(f(b,c)) f(a,bc) =
+    f(a,b) f(ab,c) at one triple."""
     G, P = k.g, k.pi
-    failures = []
-    checked = 0
-    for a, b, c in triples:
-        checked += 1
-        lhs = G.mul(k.psi(a)(k.f(b, c)), k.f(a, P.mul(b, c)))
-        rhs = G.mul(k.f(a, b), k.f(P.mul(a, b), c))
-        if lhs != rhs:
-            failures.append(((a, b, c), lhs, rhs))
-    return KernelReport(checked, tuple(failures))
+    return (
+        G.mul(k.psi(a)(k.f(b, c)), k.f(a, P.mul(b, c))),
+        G.mul(k.f(a, b), k.f(P.mul(a, b), c)),
+    )
 
 
 class ExtensionData:

@@ -51,7 +51,7 @@ import os
 import random
 from fractions import Fraction
 
-from .errors import BudgetExceeded, InvariantViolation
+from .errors import BudgetExceeded, InvariantViolation, UsageError
 from .groups import FiniteGroup
 from .linalg import (FIELDS, GF2, complement_in, field_name, matmul,
                      matrix_rank, rank_of, solve_coords, span_reduce,
@@ -75,7 +75,7 @@ def memory_budget_mb() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(
+        raise UsageError(
             f"QMCOH_BUDGET_MB must be an integer, got {raw!r}") from None
 
 

@@ -9,10 +9,26 @@ seed, sampling parameters): each identity draws from its own
 shift another identity's samples, and wall-clock timings stay out of
 the payload unless explicitly requested.
 
+A law is a generator ``law(ctx, rng)`` registered with ``_spec``. It
+draws its inputs from ``rng`` and yields one check per comparison: a
+tuple ``(ok, failure_text, *pairing_bounds)``, where ``_pairing``
+builds the check that a pairing is exact. The ``run`` that ``_spec``
+registers drains the generator and tallies the checks into an
+``IdentityOutcome``: the checked count, the texts of the failed checks,
+and the largest bound. A law that raises keeps the checks it yielded
+and adds one failed check, ``error: <ExceptionName>: <message>``; the
+other identities still run, so the report is printed and ``verify``
+exits 1. Two kinds of exception say that the run as configured cannot
+go, not that a law failed, and the runner passes them on, so ``verify``
+exits 2: ``UsageError`` (a malformed ``QMCOH_BUDGET_MB``, or a fixture
+that does not fit the identity) and ``ResourceCapExceeded`` (a cap or
+the memory budget hit).
+
 The extension-based suites (kernels, model, theta, sections, plus the
 fixture-backed chains/cochains entries) need a fixture with a free
-fiber; the spectral suite always runs on the finite fixture and the
-seeded random complexes and ignores the fixture argument.
+fiber and raise ``UsageError`` on a finite one; the spectral suite
+always runs on the finite fixture and the seeded random complexes and
+ignores the fixture argument.
 
 The registry is honest by design: identities that are expected to fail
 (the plain kernel-change comparison keeps a non-telescoping middle
@@ -41,11 +57,11 @@ from .chains import (
     pushforward,
 )
 from .cochains import coboundary, cup, pair, table_cochain
-from .errors import CentralityViolation
+from .errors import CentralityViolation, ResourceCapExceeded, UsageError
 from .extensions import (
     DEFAULT_CUTOFF,
     CentralExtensionModel,
-    check_nonabelian_cocycle,
+    cocycle_sides,
     composition_cochain,
     lambda_chain,
     lift_automorphism,
@@ -135,7 +151,7 @@ class VerifyContext:
                     self.ext.g, BrooksQuasimorphism(words.parse("ab"))
                 )
             else:
-                raise ValueError(
+                raise UsageError(
                     f"fixture {self.fixture!r} has a finite fiber; the"
                     " extension identities need a free one"
                 )
@@ -188,41 +204,42 @@ REGISTRY: list[IdentitySpec] = []
 
 
 def _spec(ident: str, suite: str, law: str):
+    """Register a generator of checks as identity ``ident``; its
+    ``run`` drains the generator and tallies what it yields."""
     if suite not in SUITE_ORDER:
         raise ValueError(f"unknown suite {suite!r}")
 
-    def wrap(fn):
-        REGISTRY.append(IdentitySpec(ident, suite, law, fn))
-        return fn
+    def wrap(checks):
+        def run(ctx, rng) -> IdentityOutcome:
+            checked, failures, bound = 0, [], Fraction(0)
+            try:
+                for ok, text, *bounds in checks(ctx, rng):
+                    checked += 1
+                    if not ok:
+                        failures.append(text)
+                    if bounds:
+                        bound = max(bound, *bounds)
+            except (UsageError, ResourceCapExceeded):
+                raise
+            except Exception as ex:
+                checked += 1
+                failures.append(f"error: {type(ex).__name__}: {ex}")
+            return IdentityOutcome(checked, tuple(failures), bound)
+
+        REGISTRY.append(IdentitySpec(ident, suite, law, run))
+        return checks
 
     return wrap
 
 
-class _Tally:
-    """Accumulator for one identity: counts, failures, pairing bounds."""
-
-    def __init__(self):
-        self.checked = 0
-        self.failures: list[str] = []
-        self.max_bound = Fraction(0)
-
-    def check(self, cond: bool, desc: str):
-        self.checked += 1
-        if not cond:
-            self.failures.append(desc)
-
-    def pairing(self, got, desc: str, want=Fraction(0)):
-        self.max_bound = max(self.max_bound, got.error_bound)
-        self.check(
-            got.value == want and got.error_bound == 0,
-            f"{desc}: value {got.value}, bound {got.error_bound},"
-            f" wanted {want}",
-        )
-
-    def done(self) -> IdentityOutcome:
-        return IdentityOutcome(
-            self.checked, tuple(self.failures), self.max_bound,
-        )
+def _pairing(got, desc: str, want=0):
+    """The check that a pairing is exactly ``want``, with its bound."""
+    return (
+        got.value == want and got.error_bound == 0,
+        f"{desc}: value {got.value}, bound {got.error_bound},"
+        f" wanted {want}",
+        got.error_bound,
+    )
 
 
 # ------------------------------------------------------------------- qm
@@ -231,7 +248,6 @@ class _Tally:
 @_spec("homogenize-conjugation", "qm",
        "phi(h g h^-1) = phi(g) and phi(g^n) = n phi(g)")
 def _homogenize_conjugation(ctx, rng):
-    t = _Tally()
     F2 = FreeGroup(2)
     phi = Homogenization(BrooksQuasimorphism(words.parse("ab")))
     for _ in range(ctx.samples):
@@ -239,22 +255,20 @@ def _homogenize_conjugation(ctx, rng):
         h = F2.random_element(rng, 4)
         n = rng.choice((-3, -2, 2, 3))
         base = phi(g)
-        t.check(
+        yield (
             phi(F2.conj(h, g)) == base,
             f"conjugation moved the value at g={words.fmt(g)},"
             f" h={words.fmt(h)}",
         )
-        t.check(
+        yield (
             phi(words.power(g, n)) == n * base,
             f"phi(g^{n}) != {n} phi(g) at g={words.fmt(g)}",
         )
-    return t.done()
 
 
 @_spec("homogeneous-representative", "qm",
        "c + d(psi) is the homogeneous cocycle in the class of c")
 def _homogeneous_representative(ctx, rng):
-    t = _Tally()
     F2 = FreeGroup(2)
     phi = BrooksQuasimorphism(words.parse("ab"))
     triples = [
@@ -267,11 +281,10 @@ def _homogeneous_representative(ctx, rng):
     for _ in range(ctx.samples):
         g = F2.random_element(rng, 5)
         h = F2.random_element(rng, 5)
-        t.check(
+        yield (
             rep(g, h) == direct(g, h),
             f"representative disagrees at ({words.fmt(g)}, {words.fmt(h)})",
         )
-    return t.done()
 
 
 # --------------------------------------------------------------- chains
@@ -280,23 +293,20 @@ def _homogeneous_representative(ctx, rng):
 @_spec("power-pair-vanishing", "chains",
        "<c, m(g, N)> = 0 exactly for homogeneous c")
 def _power_pair_vanishing(ctx, rng):
-    t = _Tally()
     F2 = FreeGroup(2)
     c = HomogeneousCocycle(F2, BrooksQuasimorphism(words.parse("ab")))
     for _ in range(ctx.samples):
         g = F2.random_element(rng, 6)
-        t.pairing(
+        yield _pairing(
             pair(c, m_chain(F2, g, ctx.cutoff)),
             f"m({words.fmt(g)}, {ctx.cutoff})",
         )
-    return t.done()
 
 
 @_spec("duality-defect-bound", "chains",
        "<d phi, m2(g,h,N)> - c(g,h) ="
        " 2^-N (b(g^P) - b((gh)^P) + b(h^P)), P = 2^N, b = phi-bar - phi")
 def _duality_defect_bound(ctx, rng):
-    t = _Tally()
     F2 = FreeGroup(2)
     phi = BrooksQuasimorphism(words.parse("ab"))
     # |d phi| <= 3 D(phi) and D <= 2 for a two-letter counting word; 6
@@ -324,24 +334,22 @@ def _duality_defect_bound(ctx, rng):
             b(g) - b(gh) + b(h)
         )
         want = Fraction(c_x(g, h)) + corr
-        t.max_bound = max(t.max_bound, got.error_bound)
-        t.check(
+        yield (
             got.value == want,
             f"residual formula off at ({words.fmt(g)}, {words.fmt(h)}):"
             f" {got.value} != {want}",
+            got.error_bound,
         )
-        t.check(
+        yield (
             abs(corr) <= got.error_bound,
             f"certified bound {got.error_bound} below residual"
             f" {abs(corr)} at ({words.fmt(g)}, {words.fmt(h)})",
         )
-    return t.done()
 
 
 @_spec("invariant-pairing", "chains",
        "<c, u_* m2(u^-1 g, u^-1 h, N) - m2(g, h, N)> = 0")
 def _invariant_pairing(ctx, rng):
-    t = _Tally()
     G = ctx.ext.g
     ker = ctx.kernel
     e = ctx.ext.pi.identity
@@ -352,17 +360,15 @@ def _invariant_pairing(ctx, rng):
         g = G.random_element(rng, 5)
         h = G.random_element(rng, 5)
         moved = pushforward(aut, m2_chain(G, back(g), back(h), ctx.cutoff))
-        t.pairing(
+        yield _pairing(
             pair(ctx.cocycle, moved - m2_chain(G, g, h, ctx.cutoff)),
             f"orbit move at ({words.fmt(g)}, {words.fmt(h)})",
         )
-    return t.done()
 
 
 @_spec("bar-homotopy", "chains",
        "s d + d s = id on positive-degree homogeneous chains")
 def _bar_homotopy(ctx, rng):
-    t = _Tally()
     F2 = FreeGroup(2)
     for _ in range(ctx.samples):
         degree = rng.choice((1, 2, 3))
@@ -376,8 +382,7 @@ def _bar_homotopy(ctx, rng):
         z = HomogeneousChain(F2, degree, items)
         lhs = contracting_homotopy(homogeneous_boundary(z)) \
             + homogeneous_boundary(contracting_homotopy(z))
-        t.check(lhs == z, f"homotopy identity failed in degree {degree}")
-    return t.done()
+        yield lhs == z, f"homotopy identity failed in degree {degree}"
 
 
 # -------------------------------------------------------------- cochains
@@ -386,7 +391,6 @@ def _bar_homotopy(ctx, rng):
 @_spec("cup-leibniz", "cochains",
        "d(f u h) = df u h + (-1)^|f| f u dh")
 def _cup_leibniz(ctx, rng):
-    t = _Tally()
     F2 = FreeGroup(2)
 
     def rand_cochain(degree):
@@ -410,33 +414,29 @@ def _cup_leibniz(ctx, rng):
             tup = tuple(
                 F2.random_element(rng, 2) for _ in range(fdeg + hdeg + 1)
             )
-            t.check(
+            yield (
                 lhs(*tup) == rhs_a(*tup) + sign * rhs_b(*tup),
                 f"product rule off for degrees ({fdeg}, {hdeg})",
             )
-    return t.done()
 
 
 @_spec("duality-normalization", "cochains", "<c, [g|h]> = c(g, h)")
 def _duality_normalization(ctx, rng):
-    t = _Tally()
     G = ctx.ext.g
     c = ctx.cocycle
     for _ in range(ctx.samples):
         g = G.random_element(rng, 5)
         h = G.random_element(rng, 5)
         z = Chain(G, 2, [((g, h), Fraction(1))])
-        t.pairing(
+        yield _pairing(
             pair(c, z),
             f"[{words.fmt(g)}|{words.fmt(h)}]",
             want=Fraction(c(g, h)),
         )
-    return t.done()
 
 
 @_spec("duality-adjointness", "cochains", "<d b, z> = <b, d z>")
 def _duality_adjointness(ctx, rng):
-    t = _Tally()
     F2 = FreeGroup(2)
     for _ in range(ctx.samples):
         table = {
@@ -455,13 +455,12 @@ def _duality_adjointness(ctx, rng):
         z = Chain(F2, 2, items)
         lhs = pair(coboundary(b), z)
         rhs = pair(b, boundary(z))
-        t.max_bound = max(t.max_bound, lhs.error_bound, rhs.error_bound)
-        t.check(
+        yield (
             lhs.value == rhs.value
             and lhs.error_bound == rhs.error_bound == 0,
             f"adjointness off: {lhs.value} vs {rhs.value}",
+            lhs.error_bound, rhs.error_bound,
         )
-    return t.done()
 
 
 # --------------------------------------------------------------- kernels
@@ -470,38 +469,33 @@ def _duality_adjointness(ctx, rng):
 @_spec("kernel-cocycle-law", "kernels",
        "psi_a(f(b,c)) f(a, bc) = f(a, b) f(ab, c)")
 def _kernel_cocycle_law(ctx, rng):
-    t = _Tally()
     pool = ctx.pi_pool(4)
     triples = [
         tuple(rng.choice(pool) for _ in range(3))
         for _ in range(ctx.samples)
     ]
-    rep = check_nonabelian_cocycle(ctx.kernel, triples)
-    t.checked += rep.checked
-    for (a, b, c), lhs, rhs in rep.failures:
-        t.failures.append(
-            f"product rule fails at ({a}, {b}, {c}): {lhs} != {rhs}"
+    ker = ctx.kernel
+    for a, b, c in triples:
+        lhs, rhs = cocycle_sides(ker, a, b, c)
+        yield (
+            lhs == rhs,
+            f"product rule fails at ({a}, {b}, {c}): {lhs} != {rhs}",
         )
     bad = corrupted_kernel()
     gen = bad.pi.generators[0]
-    bad_rep = check_nonabelian_cocycle(bad, [(gen, gen, gen)])
-    t.check(
-        not bad_rep.passed,
-        "corrupted kernel slipped through the product rule",
-    )
-    return t.done()
+    lhs, rhs = cocycle_sides(bad, gen, gen, gen)
+    yield lhs != rhs, "corrupted kernel slipped through the product rule"
 
 
 @_spec("obstruction-triviality", "kernels",
        "K(a,b,c) = 1 on section kernels; non-central values refuse")
 def _obstruction_triviality(ctx, rng):
-    t = _Tally()
     K = obstruction_K(ctx.kernel)
     G = ctx.ext.g
     pool = ctx.pi_pool(4)
     for _ in range(ctx.samples):
         a, b, c = (rng.choice(pool) for _ in range(3))
-        t.check(
+        yield (
             K(a, b, c) == G.identity,
             f"obstruction nontrivial at ({a}, {b}, {c})",
         )
@@ -509,13 +503,13 @@ def _obstruction_triviality(ctx, rng):
     gen = bad.pi.generators[0]
     try:
         val = obstruction_K(bad)(gen, gen, gen)
-        t.check(
+    except CentralityViolation:
+        yield True, "corrupted obstruction refused, as it should"
+    else:
+        yield (
             val != bad.g.identity,
             "corrupted obstruction evaluated to the identity",
         )
-    except CentralityViolation:
-        t.check(True, "corrupted obstruction refused, as it should")
-    return t.done()
 
 
 # ----------------------------------------------------------------- model
@@ -524,7 +518,6 @@ def _obstruction_triviality(ctx, rng):
 @_spec("lift-deviation", "model",
        "dev(lift u)(x, y) = (u* c - c)(proj x, proj y)")
 def _lift_deviation(ctx, rng):
-    t = _Tally()
     model = ctx.model
     c = ctx.cocycle
     e = ctx.ext.pi.identity
@@ -537,18 +530,16 @@ def _lift_deviation(ctx, rng):
         y = model.random_element(rng, 5)
         dev = lift_deviation(model, lifted, x, y)
         g, h = model.project(x), model.project(y)
-        t.check(
+        yield (
             dev == Fraction(pulled(g, h)) - Fraction(c(g, h)),
             f"deviation differs from the pulled-back difference at"
             f" ({words.fmt(g)}, {words.fmt(h)})",
         )
-    return t.done()
 
 
 @_spec("obstruction-center-split", "model",
        "lifted K = i_Z(comp) with fiber part K = 1")
 def _obstruction_center_split(ctx, rng):
-    t = _Tally()
     model, ker = ctx.model, ctx.kernel
     K = obstruction_K(ker)
     K_bar = lifted_obstruction(model, ker)
@@ -563,14 +554,12 @@ def _obstruction_center_split(ctx, rng):
             and model.phi(val) == want
             and val == model.include_center(want)
         )
-        t.check(ok, f"lifted obstruction fails to split at ({a}, {b}, {c})")
-    return t.done()
+        yield ok, f"lifted obstruction fails to split at ({a}, {b}, {c})"
 
 
 @_spec("section-power-conj", "model",
        "s(g)^n = s(g^n), s(h) s(g) s(h)^-1 = s(h g h^-1), phi(s(g)) = 0")
 def _section_power_conj(ctx, rng):
-    t = _Tally()
     model = ctx.model
     G = ctx.ext.g
     for _ in range(ctx.samples):
@@ -585,8 +574,7 @@ def _section_power_conj(ctx, rng):
             and model.conj(model.section(h), sg)
             == model.section(G.conj(h, g))
         )
-        t.check(ok, f"canonical section broke a law at g={words.fmt(g)}")
-    return t.done()
+        yield ok, f"canonical section broke a law at g={words.fmt(g)}"
 
 
 # ----------------------------------------------------------------- theta
@@ -596,7 +584,6 @@ def _section_power_conj(ctx, rng):
        "comp(a,b,c) = -phi(psi_a f(b,c)) - phi(f(a,bc))"
        " + phi(f(a,b)) + phi(f(ab,c))")
 def _composition_cochain_eval(ctx, rng):
-    t = _Tally()
     ker = ctx.kernel
     P = ker.pi
     phi = ctx.phi
@@ -610,17 +597,12 @@ def _composition_cochain_eval(ctx, rng):
             + Fraction(phi(ker.f(a, b)))
             + Fraction(phi(ker.f(P.mul(a, b), c)))
         )
-        t.check(
-            comp(a, b, c) == want,
-            f"closed form off at ({a}, {b}, {c})",
-        )
-    return t.done()
+        yield comp(a, b, c) == want, f"closed form off at ({a}, {b}, {c})"
 
 
 @_spec("composition-coboundary", "theta",
        "(d comp)(a,b,c,z) = comp(b,c,z) - comp_pulled_by_a(b,c,z)")
 def _composition_coboundary(ctx, rng):
-    t = _Tally()
     ker = ctx.kernel
     direct = composition_cochain(ctx.cocycle, ker)
     d_comp = coboundary(direct)
@@ -630,40 +612,35 @@ def _composition_coboundary(ctx, rng):
         pulled = composition_cochain(
             PulledBackCocycle(ker.psi(a), ctx.cocycle), ker,
         )
-        t.check(
+        yield (
             d_comp(a, b, c, z) == direct(b, c, z) - pulled(b, c, z),
             f"coboundary does not swap in the pulled-back cocycle at"
             f" ({a}, {b}, {c}, {z})",
         )
-    return t.done()
 
 
 @_spec("theta-pairing", "theta", "<c, theta(a,b,c)> = comp(a,b,c) exactly")
 def _theta_pairing(ctx, rng):
-    t = _Tally()
     ker = ctx.kernel
     comp = composition_cochain(ctx.cocycle, ker)
     theta = theta_chain(ker, ctx.cutoff)
     pool = ctx.pi_pool(4)
     for _ in range(ctx.samples):
         a, b, c = (rng.choice(pool) for _ in range(3))
-        t.pairing(
+        yield _pairing(
             pair(ctx.cocycle, theta(a, b, c)),
             f"theta at ({a}, {b}, {c})",
             want=comp(a, b, c),
         )
-    return t.done()
 
 
 @_spec("outer-cocycle-pairing", "theta", "<c, (d theta)(a,b,c,z)> = 0")
 def _outer_cocycle_pairing(ctx, rng):
-    t = _Tally()
     d_theta = coboundary(theta_chain(ctx.kernel, ctx.cutoff))
     pool = ctx.pi_pool(4)
     for _ in range(ctx.samples):
         tup = tuple(rng.choice(pool) for _ in range(4))
-        t.pairing(pair(ctx.cocycle, d_theta(*tup)), f"d theta at {tup}")
-    return t.done()
+        yield _pairing(pair(ctx.cocycle, d_theta(*tup)), f"d theta at {tup}")
 
 
 def _lambda_setup(ctx, adjusted: bool):
@@ -685,7 +662,6 @@ def _lambda_setup(ctx, adjusted: bool):
 def _kernel_change_plain(ctx, rng):
     # the unadjusted middle term does not telescope in general; failures
     # here are recorded honestly rather than patched over
-    t = _Tally()
     ker, k2, pool, lam = _lambda_setup(ctx, adjusted=False)
     d_lam = coboundary(lam)
     theta = theta_chain(ker, ctx.cutoff)
@@ -693,14 +669,14 @@ def _kernel_change_plain(ctx, rng):
     for _ in range(ctx.samples):
         a, b, c = (rng.choice(pool) for _ in range(3))
         z = theta2(a, b, c) - theta(a, b, c) - d_lam(a, b, c)
-        t.pairing(pair(ctx.cocycle, z), f"plain comparison at ({a}, {b}, {c})")
-    return t.done()
+        yield _pairing(
+            pair(ctx.cocycle, z), f"plain comparison at ({a}, {b}, {c})",
+        )
 
 
 @_spec("kernel-change-exact", "theta",
        "<c, theta - theta' - d lambda-hat> = 0 with the adjusted term")
 def _kernel_change_exact(ctx, rng):
-    t = _Tally()
     ker, k2, pool, lam = _lambda_setup(ctx, adjusted=True)
     d_lam = coboundary(lam)
     theta = theta_chain(ker, ctx.cutoff)
@@ -708,10 +684,9 @@ def _kernel_change_exact(ctx, rng):
     for _ in range(ctx.samples):
         a, b, c = (rng.choice(pool) for _ in range(3))
         z = theta(a, b, c) - theta2(a, b, c) - d_lam(a, b, c)
-        t.pairing(
+        yield _pairing(
             pair(ctx.cocycle, z), f"adjusted comparison at ({a}, {b}, {c})",
         )
-    return t.done()
 
 
 # -------------------------------------------------------------- sections
@@ -721,7 +696,6 @@ def _kernel_change_exact(ctx, rng):
        "<c, T(y1,y2)> = -phi(f(a1,a2)) + phi(h(y1 y2))"
        " - phi(psi_a1 h(y2)) - phi(h(y1))")
 def _section_trivialization(ctx, rng):
-    t = _Tally()
     ext, ker = ctx.ext, ctx.kernel
     phi = ctx.phi
     T = t_chain(ext, ctx.cutoff)
@@ -736,18 +710,16 @@ def _section_trivialization(ctx, rng):
             - Fraction(phi(ker.psi(a1)(ext.h(y2))))
             - Fraction(phi(ext.h(y1)))
         )
-        t.pairing(
+        yield _pairing(
             pair(ctx.cocycle, T(y1, y2)),
             f"closed form at ({y1}, {y2})",
             want=want,
         )
-    return t.done()
 
 
 @_spec("section-coboundary", "sections",
        "<c, theta(sigma y1, sigma y2, sigma y3) - (d T)(y1,y2,y3)> = 0")
 def _section_coboundary(ctx, rng):
-    t = _Tally()
     ext = ctx.ext
     theta = theta_chain(ext.kernel(), ctx.cutoff)
     dT = coboundary(t_chain(ext, ctx.cutoff))
@@ -755,14 +727,12 @@ def _section_coboundary(ctx, rng):
         gs = tuple(ext.gamma.random_element(rng, 4) for _ in range(3))
         sigma_theta = theta(*[ext.sigma(y) for y in gs])
         z = sigma_theta - dT(*gs)
-        t.pairing(pair(ctx.cocycle, z), f"trivialization at {gs}")
-    return t.done()
+        yield _pairing(pair(ctx.cocycle, z), f"trivialization at {gs}")
 
 
 @_spec("section-restriction", "sections",
        "<c, T(i g1, i g2) - m2(g1, g2, N)> = 0 and <c, T(y, 1)> = 0")
 def _section_restriction(ctx, rng):
-    t = _Tally()
     ext = ctx.ext
     G = ext.g
     T = t_chain(ext, ctx.cutoff)
@@ -771,16 +741,15 @@ def _section_restriction(ctx, rng):
         g2 = G.random_element(rng, 5)
         z = T(ext.include(g1), ext.include(g2)) \
             - m2_chain(G, g1, g2, ctx.cutoff)
-        t.pairing(
+        yield _pairing(
             pair(ctx.cocycle, z),
             f"fiber restriction at ({words.fmt(g1)}, {words.fmt(g2)})",
         )
     y = ext.gamma.random_element(rng, 5)
-    t.pairing(
+    yield _pairing(
         pair(ctx.cocycle, T(y, ext.gamma.identity)),
         "degenerate second argument",
     )
-    return t.done()
 
 
 # -------------------------------------------------------------- spectral
@@ -790,35 +759,32 @@ def _section_restriction(ctx, rng):
        "dim E_{r+1} = dim E_r - rank d_r(out) - rank d_r(in),"
        " d_r d_r = 0")
 def _page_consistency(ctx, rng):
-    t = _Tally()
     cx, filt, _ = ctx.hs()
     engine = SpectralSequence(cx, filt)
     cells = [(p, n - p) for n in range(4) for p in range(n + 1)]
     for r in range(1, 5):
         for p, q in cells:
-            t.check(
+            yield (
                 engine.consistency_ok(r, p, q),
                 f"rank bookkeeping off at r={r}, (p,q)=({p},{q})",
             )
     for r in range(1, 4):
         for p, q in cells:
             if p + q <= 2:
-                t.check(
+                yield (
                     engine.d_squared_ok(r, p, q),
                     f"d_{r} twice is nonzero from ({p},{q})",
                 )
-    return t.done()
 
 
 @_spec("e-infinity", "spectral",
        "sum_p dim E_inf^(p, n-p) = dim H^n; random complexes converge")
 def _e_infinity(ctx, rng):
-    t = _Tally()
     cx, filt, _ = ctx.hs()
     engine = PersistencePairing(cx, filt)
     for n in range(4):
         rep = e_infinity_check(engine, n)
-        t.check(
+        yield (
             rep["ok"] and rep["homology"] == 1,
             f"abutment off in degree {n}: total {rep['total']},"
             f" homology {rep['homology']}",
@@ -832,35 +798,29 @@ def _e_infinity(ctx, rng):
             and all(row["ok"] for row in report["consistency"])
             and all(row["ok"] for row in report["e_infinity"])
         )
-        t.check(ok, f"random complex seed {seed} did not converge cleanly")
-    return t.done()
+        yield ok, f"random complex seed {seed} did not converge cleanly"
 
 
 @_spec("hs-degeneration", "spectral",
        "fiber-degree first page vanishes for q >= 1;"
        " bottom row carries the invariants")
 def _hs_degeneration(ctx, rng):
-    t = _Tally()
     cx, _filt, info = ctx.hs()
     engine = PersistencePairing(cx, hs_row_filtration(cx, info))
     for n in range(4):
         for level in range(n + 1):
             q = n - level
             if q >= 1:
-                t.check(
+                yield (
                     engine.dim(1, level, q) == 0,
                     f"first page nonzero at ({level},{q})",
                 )
     for level in range(4):
-        t.check(
+        yield (
             engine.dim(1, level, 0) == 4 ** level,
             f"invariant count off at level {level}",
         )
-        t.check(
-            engine.dim(2, level, 0) == 1,
-            f"second page off at level {level}",
-        )
-    return t.done()
+        yield engine.dim(2, level, 0) == 1, f"second page off at level {level}"
 
 
 # ---------------------------------------------------------------- runner

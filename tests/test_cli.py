@@ -183,6 +183,55 @@ def test_verify_passes_an_io_error_of_the_run_through(tmp_path, capsys,
     assert "cannot write" not in capsys.readouterr().err
 
 
+# an identity whose law yields two checks and then raises
+RAISING_LAW = r"""
+import sys
+
+from qmcoh import cli, verify
+from qmcoh.errors import KernelRelationViolation
+
+i = next(i for i, s in enumerate(verify.REGISTRY)
+         if s.id == "section-restriction")
+spec = verify.REGISTRY.pop(i)
+
+
+@verify._spec(spec.id, spec.suite, spec.law)
+def raising(ctx, rng):
+    yield True, "a passing check"
+    yield False, "a failed check"
+    raise KernelRelationViolation(("a", "b", "c"), "x", "y")
+
+
+sys.exit(cli.main(["verify", "--suite", "sections"]))
+"""
+
+
+def test_verify_reports_an_identity_that_raises_as_an_error_entry():
+    # a fresh interpreter, so the replaced law stays out of this one
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(qmcoh.cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", RAISING_LAW],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 1 and proc.stderr == ""
+    report = json.loads(proc.stdout)
+    entries = {e["id"]: e for e in report["identities"]}
+    assert sorted(entries) == [
+        "section-coboundary", "section-restriction",
+        "section-trivialization",
+    ]
+    raised = entries["section-restriction"]
+    assert raised["checked"] == 3
+    assert raised["failures"] == [
+        "a failed check",
+        "error: KernelRelationViolation: kernel relation fails at"
+        " ('a', 'b', 'c'): 'x' != 'y'",
+    ]
+    assert entries["section-coboundary"]["failures"] == []
+    assert entries["section-trivialization"]["failures"] == []
+    assert report["failures_total"] == 2 and not report["passed"]
+
+
 VERIFY_USAGE_ERRORS = [
     ["--fixture", "nope"],
     ["--samples", "0"],
@@ -391,6 +440,19 @@ def test_ss_budget_must_be_an_integer(monkeypatch, capsys, raw):
     rc, out, err = run(capsys, "ss", "z4-hs")
     assert rc == 2 and out == ""
     assert f"QMCOH_BUDGET_MB must be an integer, got {raw!r}" in err
+
+
+@pytest.mark.parametrize("raw, message", [
+    ("0", "exceeds QMCOH_BUDGET_MB=0"),
+    ("lots", "QMCOH_BUDGET_MB must be an integer, got 'lots'"),
+])
+def test_verify_passes_a_budget_error_of_an_identity_on(monkeypatch, capsys,
+                                                        raw, message):
+    # the spectral identities build the z4-hs complex; a budget that
+    # stops the build is the run's configuration, not a failed law
+    monkeypatch.setenv("QMCOH_BUDGET_MB", raw)
+    rc, out, err = run(capsys, "verify", "--suite", "spectral")
+    assert rc == 2 and out == "" and message in err
 
 
 def test_ss_rejects_negative_max_r(capsys):
