@@ -27,14 +27,17 @@ pairing; chains with other rational coefficients are lifted to the lcm
 of their denominators. ``HomogeneousChain`` keeps ``Fraction``
 coefficients.
 
-Entries become canonical in one place, the ``Chain`` constructor: free
-words and powers are keyed there by primitive root, so that equal
-elements share a dict key. User-built chains, ``Chain.basis``,
-``m_chain``, the lead term of ``m2_chain`` and ``pushforward`` (a
-homomorphism can send a root to a proper power or to the identity) all
-pass through it. Sums, differences, scalings and boundaries start from
-canonical supports and build their results directly; they and the
-constructor share one reduction to lowest terms.
+Entries become canonical in one place, ``words.pow_entry``: free words
+and powers are keyed there by primitive root, so that equal elements
+share a dict key. Each path keys a distinct word once. The ``Chain``
+constructor maps user tuples through the entry helper ``_free_entry``;
+``m_chain`` keys g and takes its powers with ``words.entry_pow``, which
+keeps the root; ``m2_chain`` keys only its lead tuple; ``pushforward``
+keys the image of each distinct word or base once (a homomorphism can
+send a root to a proper power or to the identity). Sums, differences,
+scalings and boundaries start from canonical supports and build their
+results directly; they and the constructor share one reduction to
+lowest terms.
 
 ``m_chain`` and ``m2_chain`` are memoized (a bounded LRU cache per
 process), so equal arguments return the same ``Chain`` object to every
@@ -87,16 +90,22 @@ def _lowest_terms(support: dict, den: int) -> tuple[dict, int]:
     return {t: n // g for t, n in support.items()}, den // g
 
 
+def _free_entry(x):
+    """The canonical key of one free-group entry, a reduced word or a
+    ``Pow``: ``words.pow_entry`` keys it by primitive root, so that equal
+    elements share a dict key whatever path produced them."""
+    if isinstance(x, Pow):
+        return words.pow_entry(x.base, x.exp)
+    return words.pow_entry(x, 1)
+
+
 def _canonizer(group: Group):
     """Map from a raw tuple to its canonical key, chosen once per group:
-    free-word entries and symbolic powers are keyed by primitive root,
-    so that equal elements always share a dict key whatever path
-    produced them; elements of other models are canonical already."""
+    ``_free_entry`` on each entry of a free-group tuple; elements of
+    other models are canonical already."""
     if not isinstance(group, FreeGroup):
         return tuple
-    pow_entry = words.pow_entry
-    return lambda t: tuple(
-        pow_entry(*x) if isinstance(x, Pow) else pow_entry(x, 1) for x in t)
+    return lambda t: tuple(map(_free_entry, t))
 
 
 class Chain:
@@ -170,11 +179,7 @@ class Chain:
 
     @classmethod
     def zero(cls, group: Group, degree: int) -> "Chain":
-        return cls(group, degree)
-
-    @classmethod
-    def basis(cls, group: Group, *entries) -> "Chain":
-        return cls(group, len(entries), [(tuple(entries), 1)], den=1)
+        return cls._of(group, degree, {}, 1, Fraction(0), True)
 
     def scale(self, a) -> "Chain":
         a = Fraction(a)
@@ -275,55 +280,83 @@ def m_chain(group: Group, g, N: int) -> Chain:
     the full series telescopes; at cutoff N it equals [g] - 2^-N [g^(2^N)].
 
     For the identity every term is degenerate, so the chain (tail
-    included) is exactly zero in the normalized complex.
+    included) is exactly zero in the normalized complex. On a free group
+    g is keyed once, by ``words.pow_entry``, and its powers share its
+    root (``words.entry_pow``); they are distinct and none is the
+    identity. On a finite group a power can be the identity or repeat
+    an earlier one, so degenerate terms are dropped and equal keys
+    merged.
     """
     if not 1 <= N <= MAX_CUTOFF:
         raise ResourceCapExceeded(f"cutoff N={N} outside 1..{MAX_CUTOFF}")
-    if g == group.identity:
+    e = group.identity
+    if g == e:
         return Chain.zero(group, 2)
-    symbolic = isinstance(group, FreeGroup)
-    items = []
-    for n in range(1, N + 1):
-        k = 2 ** (n - 1)
-        p = Pow(g, k) if symbolic else group.power(g, k)
-        items.append(((p, p), 2 ** (N - n)))
-    return Chain(group, 2, items, tail_bound=Fraction(1, 2**N), den=2**N,
-                 power_tail=True)
+    if isinstance(group, FreeGroup):
+        support = {}
+        x = words.pow_entry(g, 1)
+        for n in range(1, N + 1):
+            p = words.entry_pow(x, 2 ** (n - 1))
+            support[p, p] = 2 ** (N - n)
+    else:
+        powers = ((group.power(g, 2 ** (n - 1)), 2 ** (N - n))
+                  for n in range(1, N + 1))
+        support = _accumulate({}, (((p, p), c) for p, c in powers if p != e))
+    return Chain._of(group, 2, support, 2**N, Fraction(1, 2**N), True)
 
 
 @lru_cache(maxsize=256)
 def m2_chain(group: Group, g, h, N: int) -> Chain:
     """[g|h] - m(g) + m(gh) - m(h); support norm at most 4, tail mass at
-    most 3 * 2^-N."""
-    gh = group.mul(g, h)
-    lead = Chain.basis(group, g, h)
-    return lead - m_chain(group, g, N) + m_chain(group, gh, N) \
-        - m_chain(group, h, N)
+    most 3 * 2^-N.
+
+    The four terms are summed in one pass, in that order, at the lcm of
+    their denominators; the m-chains are canonical already, so only the
+    lead tuple is keyed."""
+    e = group.identity
+    ms = (m_chain(group, g, N), m_chain(group, group.mul(g, h), N),
+          m_chain(group, h, N))
+    den = lcm(*(m.den for m in ms))
+    lead = _canonizer(group)((g, h))
+    support = {} if e in lead else {lead: den}
+    for m, sign in zip(ms, (-1, 1, -1)):
+        k = sign * (den // m.den)
+        _accumulate(support, ((t, k * n) for t, n in m.support.items()))
+    return Chain._of(group, 2, support, den,
+                     sum((m.tail_bound for m in ms), Fraction(0)), True)
 
 
 def pushforward(aut, z: Chain) -> Chain:
     """Apply a homomorphism entrywise; symbolic powers map base-wise
     (images of powers are powers of images). The image of a root may be
-    a proper power or the identity, so the result is canonicalized
-    again; power pairs map to power pairs, so the tail is kept as it is.
-    The 2N entries of an m-series share one base, so each
-    distinct word or base is mapped once per call."""
-    images: dict = {}
+    a proper power or the identity, so the image of each distinct word
+    or base is keyed once more (a power then shares the key's root),
+    tuples that now contain the identity are dropped and colliding keys
+    merged; power pairs map to power pairs, so the tail is kept as it
+    is. The 2N entries of an m-series share one base, so each distinct
+    word or base is mapped and keyed once per call."""
+    free = isinstance(z.group, FreeGroup)
+    keys: dict = {}
 
-    def image(w):
-        hit = images.get(w)
+    def key(w):
+        hit = keys.get(w)
         if hit is None:
-            hit = images[w] = aut(w)
+            hit = aut(w)
+            if free:
+                hit = words.pow_entry(hit, 1)
+            keys[w] = hit
         return hit
 
     def fwd(x):
-        return Pow(image(x.base), x.exp) if isinstance(x, Pow) else image(x)
+        if isinstance(x, Pow):
+            return words.entry_pow(key(x.base), x.exp)
+        return key(x)
 
-    return Chain(
-        z.group, z.degree,
-        [(tuple(map(fwd, t)), n) for t, n in z.support.items()],
-        tail_bound=z.tail_bound, den=z.den, power_tail=z.power_tail,
-    )
+    e = z.group.identity
+    pairs = ((tuple(map(fwd, t)), n) for t, n in z.support.items())
+    support = _accumulate({}, ((t, n) for t, n in pairs if e not in t))
+    return Chain._of(z.group, z.degree, support, z.den, z.tail_bound,
+                     z.power_tail)
 
 
 class HomogeneousChain:

@@ -24,11 +24,12 @@ exits 2: ``UsageError`` (a malformed ``QMCOH_BUDGET_MB``, or a fixture
 that does not fit the identity) and ``ResourceCapExceeded`` (a cap or
 the memory budget hit).
 
-The extension-based suites (kernels, model, theta, sections, plus the
-fixture-backed chains/cochains entries) need a fixture with a free
-fiber and raise ``UsageError`` on a finite one; the spectral suite
-always runs on the finite fixture and the seeded random complexes and
-ignores the fixture argument.
+The suites whose identities read the fixture's cocycle (chains,
+cochains, model, theta and sections, and so ``all``) need a fixture
+with a free fiber: ``run_suite`` refuses a finite one with
+``UsageError`` before any identity runs. The qm and kernels suites run
+on any fixture; the spectral suite always runs on the finite fixture
+and the seeded random complexes and ignores the fixture argument.
 
 The registry is honest by design: identities that are expected to fail
 (the plain kernel-change comparison keeps a non-telescoping middle
@@ -104,6 +105,10 @@ SUITE_ORDER = (
     "spectral",
 )
 
+# suites with no identity that reads the fixture's cocycle, so they run
+# on a fixture with a finite fiber; every other suite refuses one
+_ANY_FIBER_SUITES = ("qm", "kernels", "spectral")
+
 
 class VerifyContext:
     """Shared fixture state for a verification run, built lazily."""
@@ -146,16 +151,20 @@ class VerifyContext:
             if self.fixture.startswith("split-swap"):
                 # the swap action needs a cocycle it fixes pointwise
                 self._cocycle = swap_invariant_cocycle(self.ext.g)
-            elif isinstance(self.ext.g, FreeGroup):
+            else:
+                self.require_free_fiber()
                 self._cocycle = HomogeneousCocycle(
                     self.ext.g, BrooksQuasimorphism(words.parse("ab"))
                 )
-            else:
-                raise UsageError(
-                    f"fixture {self.fixture!r} has a finite fiber; the"
-                    " extension identities need a free one"
-                )
         return self._cocycle
+
+    def require_free_fiber(self) -> None:
+        """Raise ``UsageError`` unless the fixture's fiber is free."""
+        if not isinstance(self.ext.g, FreeGroup):
+            raise UsageError(
+                f"fixture {self.fixture!r} has a finite fiber; the"
+                " extension identities need a free one"
+            )
 
     @property
     def phi(self):
@@ -845,6 +854,8 @@ def run_suite(suite: str = "all", fixture: str = "f2-semidirect-z",
         )
     ctx = VerifyContext(fixture=fixture, seed=seed, samples=samples,
                         cutoff=cutoff)
+    if suite not in _ANY_FIBER_SUITES:
+        ctx.require_free_fiber()
     chosen = sorted(
         (s for s in REGISTRY if suite in ("all", s.suite)),
         key=lambda s: s.id,

@@ -94,17 +94,28 @@ def pow_entry(base: Word, exp: int):
     The stored base is always a primitive root and the stored exponent
     is >= 2 (negative totals invert the root); exponents that collapse
     to 0 or +-1 come back as plain words. Two entries built through
-    this function are equal exactly when they name the same element.
+    this function, or from its entries by ``entry_pow`` and
+    ``entry_mul``, are equal exactly when they name the same element.
     """
     if exp == 0 or base == ():
         return ()
     root, j = primitive_root(base)
-    e = j * exp
+    return _root_entry(root, j * exp)
+
+
+def _root_entry(root: Word, e: int):
+    """The canonical entry of root^e, root primitive and e nonzero."""
     if e < 0:
         root, e = inv(root), -e
-    if e == 1:
-        return root
-    return Pow(root, e)
+    return root if e == 1 else Pow(root, e)
+
+
+def entry_pow(x, n: int):
+    """x^n for a canonical entry x, canonical again: the root of x is
+    the root of x^n, so nothing is rooted or expanded again."""
+    if isinstance(x, Pow):
+        return _root_entry(x.base, x.exp * n) if n else ()
+    return _root_entry(x, n) if n and x else ()
 
 
 def entry_mul(x, y):
@@ -154,15 +165,21 @@ def is_reduced(letters: Iterable[int]) -> bool:
     return True
 
 
-def mul(*words: Iterable[int]) -> Word:
-    """Product of reduced words, reduced."""
+def mul(*words: Word) -> Word:
+    """Product of reduced words, reduced.
+
+    Every factor must be reduced: only the letters that meet at the
+    junction of the product so far and the next factor cancel, and the
+    rest of that factor is copied as it stands. A factor that is not
+    reduced leaves its own cancellations in the result.
+    """
     out: list[int] = []
     for w in words:
-        for k in w:
-            if out and out[-1] == -k:
-                out.pop()
-            else:
-                out.append(k)
+        i, n = 0, len(w)
+        while i < n and out and out[-1] == -w[i]:
+            out.pop()
+            i += 1
+        out.extend(w[i:] if i else w)
     return tuple(out)
 
 

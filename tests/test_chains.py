@@ -28,6 +28,11 @@ F2 = FreeGroup(2)
 p = parse
 
 
+def basis(group, *entries):
+    """The chain 1 * [entries], one basis tuple with coefficient 1."""
+    return Chain(group, len(entries), [(entries, 1)])
+
+
 def coefficients(z):
     """The rational coefficient of each tuple: numerator over z.den."""
     return {t: Fraction(n, z.den) for t, n in z.support.items()}
@@ -44,14 +49,14 @@ def test_degenerate_tuples_vanish():
 
 
 def test_chain_add_cancels():
-    a = Chain.basis(F2, p("a"), p("b"))
+    a = basis(F2, p("a"), p("b"))
     b = a.scale(-1)
     assert (a + b).support == {} and (a + b).den == 1
     assert (a + a).support == {(p("a"), p("b")): 2} and (a + a).den == 1
 
 
 def test_boundary_degree2():
-    z = Chain.basis(F2, p("a"), p("b"))
+    z = basis(F2, p("a"), p("b"))
     expect = Chain(F2, 1, [
         ((p("b"),), 1), ((p("ab"),), -1), ((p("a"),), 1),
     ])
@@ -59,7 +64,7 @@ def test_boundary_degree2():
 
 
 def test_boundary_degree1_vanishes():
-    z = Chain.basis(F2, p("ab'"))
+    z = basis(F2, p("ab'"))
     out = boundary(z)
     assert out.degree == 0 and out.support == {}
 
@@ -382,10 +387,10 @@ def test_difference_adds_the_tail_bounds():
 
 
 def test_difference_rejects_a_group_or_degree_mismatch():
-    a = Chain.basis(F2, p("a"), p("b"))
-    for other in (Chain.basis(FreeGroup(2), p("a"), p("b")),
-                  Chain.basis(F2, p("a")),
-                  Chain.basis(Z4, 2, 3)):
+    a = basis(F2, p("a"), p("b"))
+    for other in (basis(FreeGroup(2), p("a"), p("b")),
+                  basis(F2, p("a")),
+                  basis(Z4, 2, 3)):
         with pytest.raises(ValueError, match="chain mismatch"):
             a - other
 
@@ -419,6 +424,42 @@ def test_m_chains_are_built_once(kind):
     for N in (1, 6):
         assert m_chain(group, g, N) is m_chain(group, g, N)
         assert m2_chain(group, g, h, N) is m2_chain(group, g, h, N)
+
+
+def test_m_chains_and_pushforwards_key_each_entry_once(monkeypatch):
+    inits, keyed = [], []
+    real_init, real_pow_entry = Chain.__init__, words.pow_entry
+
+    def init(self, *args, **kwargs):
+        inits.append(args)
+        real_init(self, *args, **kwargs)
+
+    def pow_entry(*args):
+        keyed.append(args)
+        return real_pow_entry(*args)
+
+    monkeypatch.setattr(Chain, "__init__", init)
+    monkeypatch.setattr(words, "pow_entry", pow_entry)
+    m_chain.cache_clear()
+    m2_chain.cache_clear()
+    aut = FreeAutomorphism(F2, [p("ab"), p("b")], [p("ab'"), p("b")])
+    try:
+        for g, h in [(p("ab"), p("a'b")), (p("abab"), p("b'")),
+                     (p("aab'a'"), p("ab'a'"))]:
+            for N in (1, 5, 16):
+                keyed.clear()
+                m_chain(F2, g, N)
+                assert len(keyed) <= N
+                z = m2_chain(F2, g, h, N)
+                keyed.clear()
+                pushforward(aut, z)
+                distinct = {x for t in z.support for x in t}
+                assert len(keyed) <= len(distinct)
+        m2_chain(Z4, 2, 3, 5)
+        assert inits == []
+    finally:
+        m_chain.cache_clear()
+        m2_chain.cache_clear()
 
 
 @pytest.mark.parametrize("kind", ["free", "finite"])

@@ -235,7 +235,7 @@ def test_verify_reports_an_identity_that_raises_as_an_error_entry():
 VERIFY_USAGE_ERRORS = [
     ["--fixture", "nope"],
     ["--samples", "0"],
-    # the extension identities refuse a finite fiber partway through
+    # a finite fiber is refused before any extension identity runs
     ["--fixture", "z4-hs"],
 ]
 

@@ -26,6 +26,11 @@ F2 = FreeGroup(2)
 p = words.parse
 
 
+def basis(group, *entries):
+    """The chain 1 * [entries], one basis tuple with coefficient 1."""
+    return Chain(group, len(entries), [(entries, 1)])
+
+
 def rand_tuples(rng, n, k, size=3):
     return [
         tuple(F2.random_element(rng, rng.randint(0, size)) for _ in range(n))
@@ -70,13 +75,13 @@ def test_coboundary_module_action_on_leading_term():
     # swap; d of a constant v is g.v - v.
     z2 = FiniteGroup.cyclic(2)
     swap = FreeAutomorphism(F2, [p("b"), p("a")], [p("b"), p("a")])
-    v = Chain.basis(F2, p("a"), p("ab"))
+    v = basis(F2, p("a"), p("ab"))
     f = BoundedCochain(
         z2, 0, lambda: v,
         action=lambda g, z: z if g == 1 else pushforward(swap, z),
     )
     df = coboundary(f)
-    assert df(2) == Chain.basis(F2, p("b"), p("ba")) - v
+    assert df(2) == basis(F2, p("b"), p("ba")) - v
     assert df(1) == Chain.zero(F2, 2)
 
 
@@ -87,7 +92,7 @@ def test_coboundary_norm_bound_propagates():
 
 def test_chain_valued_coboundary_formula():
     f = BoundedCochain(
-        F2, 1, lambda g: Chain.basis(F2, g), action=lambda g, z: z, name="j"
+        F2, 1, lambda g: basis(F2, g), action=lambda g, z: z, name="j"
     )
     df = coboundary(f)
     out = df(p("a"), p("b"))
@@ -216,7 +221,7 @@ def test_cup_degree_cap():
     with pytest.raises(ResourceCapExceeded):
         cup(cup(f, f), f)
     # only scalar factors multiply
-    j = BoundedCochain(F2, 1, lambda g: Chain.basis(F2, g),
+    j = BoundedCochain(F2, 1, lambda g: basis(F2, g),
                        action=lambda g, z: z)
     with pytest.raises(ValueError, match="scalar"):
         cup(j, f)

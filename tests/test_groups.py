@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qmcoh import words
 from qmcoh.errors import NotACocycle
@@ -104,6 +105,37 @@ def test_inner_automorphism_free():
     assert i(parse("a")) == parse("abab'a'")
     j = i.inverse()
     assert j(i(parse("ab'ab"))) == parse("ab'ab")
+
+
+def _twist_powers():
+    """u^n for n in -6..6, u the twist automorphism, by composition."""
+    u = twist_automorphism(F2)
+    powers = {0: inner_automorphism(F2, ())}
+    for n in range(1, 7):
+        powers[n] = u.compose(powers[n - 1])
+        powers[-n] = u.inverse().compose(powers[1 - n])
+    return [powers[n] for n in range(-6, 7)]
+
+
+_LETTER_TABLE_MAPS = _twist_powers() + [inner_automorphism(F2, parse("ab'a"))]
+_LETTER_TABLE_MAPS += [m.inverse() for m in _LETTER_TABLE_MAPS]
+
+
+def _substitute(aut, w):
+    """Each letter replaced by its image (an inverse letter by the
+    inverse of its image), then one reduction of the whole."""
+    out = []
+    for k in w:
+        img = aut.images[abs(k) - 1]
+        out.extend(img if k > 0 else words.inv(img))
+    return words.reduce(out)
+
+
+@given(st.sampled_from(_LETTER_TABLE_MAPS),
+       st.lists(st.sampled_from([1, -1, 2, -2]), max_size=20).map(
+           words.reduce))
+def test_free_automorphism_applies_its_letter_table(aut, w):
+    assert aut(w) == _substitute(aut, w)
 
 
 def test_identity_automorphism():

@@ -3,7 +3,9 @@ import tracemalloc
 
 import pytest
 
-from qmcoh import words
+from qmcoh import verify, words
+from qmcoh.chains import m2_chain, m_chain
+from qmcoh.errors import UsageError
 from qmcoh.quasimorphism import BrooksQuasimorphism
 from qmcoh.verify import (
     DEFAULT_SAMPLES,
@@ -82,6 +84,52 @@ def test_finite_fiber_fixture_is_rejected_for_extension_suites():
         run_suite("model", fixture="z4-hs", seed=0)
     spec = run_suite("spectral", fixture="z4-hs", seed=0)
     assert spec["passed"]
+
+
+@pytest.mark.parametrize("suite", [
+    "all", "chains", "cochains", "model", "theta", "sections"])
+def test_finite_fiber_fixture_is_refused_before_any_identity_runs(
+        monkeypatch, suite):
+    entered = []
+
+    def spy(spec):
+        def run(ctx, rng):
+            entered.append(spec.id)
+            return spec.run(ctx, rng)
+        return spec._replace(run=run)
+
+    monkeypatch.setattr(verify, "REGISTRY", [spy(s) for s in REGISTRY])
+    with pytest.raises(UsageError, match="finite fiber"):
+        run_suite(suite, fixture="z4-hs", seed=0)
+    assert entered == []
+    # the suites that read no cocycle still run on the finite fiber
+    for ok in ("qm", "kernels"):
+        assert run_suite(ok, fixture="z4-hs", seed=0, samples=1)["passed"]
+    assert entered
+
+
+@pytest.mark.parametrize("fixture", ["f2-semidirect-z", "split-swap-dec"])
+def test_the_package_multiplies_only_reduced_words(monkeypatch, fixture):
+    # words.mul cancels only at the junctions of its factors, so each
+    # factor must be reduced; a failed assertion inside a law would end
+    # up as an error entry, so the bad factors are collected instead
+    real_mul, calls, bad = words.mul, [], []
+
+    def checked_mul(*ws):
+        calls.append(len(ws))
+        bad.extend(w for w in ws if not words.is_reduced(w))
+        return real_mul(*ws)
+
+    monkeypatch.setattr(words, "mul", checked_mul)
+    monkeypatch.setattr(words, "_root_cache", {})
+    m_chain.cache_clear()
+    m2_chain.cache_clear()
+    try:
+        run_suite("all", fixture=fixture, seed=0, samples=6)
+    finally:
+        m_chain.cache_clear()
+        m2_chain.cache_clear()
+    assert calls and bad == []
 
 
 def test_split_swap_fixture_runs_the_section_suite():

@@ -71,6 +71,30 @@ def test_mul_cancellation_at_seam():
     assert mul((), parse("ab"), ()) == (1, 2)
 
 
+factor_lists = st.lists(reduced_words | st.just(()), max_size=8)
+
+
+@given(factor_lists)
+def test_mul_of_reduced_factors_reduces_their_concatenation(factors):
+    got = mul(*factors)
+    assert got == reduce([k for w in factors for k in w])
+    assert is_reduced(got)
+
+
+@given(factor_lists, st.data())
+def test_mul_cancels_across_several_factors(factors, data):
+    # the inverse of the product, cut into pieces, cancels it piece by
+    # piece, each piece reaching back over the factors before it
+    w = mul(*factors)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(w)), max_size=4)))
+    ends = [0, *cuts, len(w)]
+    pieces = [inv(w[i:j]) for i, j in zip(ends, ends[1:])][::-1]
+    assert mul(*factors, *pieces) == ()
+    tail = data.draw(reduced_words)
+    assert mul(*factors, *pieces, tail) == tail
+    assert mul(*factors, (), *pieces, (), tail, ()) == tail
+
+
 def test_inv():
     assert inv(parse("ab")) == parse("b'a'")
     assert inv(()) == ()
@@ -196,6 +220,12 @@ def test_entry_mul_inverse_base_stays_symbolic():
     assert out == words.Pow(ab, 2)
     # a plain product that lands on a proper power is re-rooted
     assert words.entry_mul(ab, parse("abab")) == words.Pow(ab, 3)
+
+
+@given(reduced_words, st.integers(-5, 5), st.integers(-40, 40))
+def test_entry_pow_of_a_canonical_entry_is_the_canonical_power(w, k, n):
+    assert words.entry_pow(words.pow_entry(w, k), n) == \
+        words.pow_entry(w, k * n)
 
 
 @given(raw_words)
